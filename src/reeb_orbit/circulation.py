@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 from . import linalg
 from .errors import InfeasibleTarget, InvalidGraph, LevelOnVertex
 from .extraction import ExtractionContext, ensure_context
-from .levels import LevelComponent, crossing_param, trace_level
+from .levels import LevelComponent, crossing_param, level_tables, trace_level
 from .reebgraph import MeasuredReebGraph, ReebEdge
 from .surface import EdgeKey, PLSurface, edge_key
 
@@ -379,10 +379,7 @@ def _walk_boundary(
     The walk ascends in field value along the boundary orientation; pieces
     are clipped exactly at the crossings of lo and hi (or stop at a boundary
     vertex whose value equals an endpoint)."""
-    from .extraction import _boundary_positions
-
-    positions = _boundary_positions(s)
-    p, i0, _ = positions[start_key]
+    p, i0, _ = level_tables(s).boundary_positions[start_key]
     chain = s.boundary_polygons[p]
     n = len(chain)
 

@@ -28,6 +28,7 @@ from .levels import (
     DSU,
     LevelComponent,
     crossing_param,
+    level_tables,
     pick_regular_value,
     slab_triangle_components,
     trace_level,
@@ -101,6 +102,7 @@ class ExtractionContext:
     events: list[EventInfo]
     comp_edge: dict[tuple[int, int], int]  # (band, comp index) -> edge id
     edge_regions: dict[int, list[tuple[int, int]]]  # edge id -> [(band, root)]
+    region_edge: dict[tuple[int, int], int]  # (band, root) -> edge id
     vertex_ids: dict[int, int]  # critical index -> graph vertex id
 
     def band_of(self, value: float) -> int:
@@ -115,10 +117,7 @@ class ExtractionContext:
         return self.comp_edge_by_region(j, root)
 
     def comp_edge_by_region(self, band: int, root: int) -> int:
-        for eid, regions in self.edge_regions.items():
-            if (band, root) in regions:
-                return eid
-        raise KeyError((band, root))
+        return self.region_edge[(band, root)]
 
 
 # -- vectorized clipped areas ----------------------------------------------------
@@ -129,10 +128,15 @@ def _sorted_tri_values(s: PLSurface, tris: list[int]) -> np.ndarray:
     return vals
 
 
-def _area_below(vals: np.ndarray, areas: np.ndarray, t: float) -> float:
-    """Total weighted area below level t for triangles with sorted values."""
+def _area_below(vals: np.ndarray, areas: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Total weighted area below each level, for triangles with sorted values.
+
+    One row of clipped fractions per level; each row is summed on its own
+    with ``np.dot`` so every total is the same float as a one-level call.
+    """
     f1, f2, f3 = vals[:, 0], vals[:, 1], vals[:, 2]
-    frac = np.zeros(len(vals))
+    t = levels[:, None]
+    frac = np.zeros((len(t), len(vals)))
     lo_band = (t > f1) & (t <= f2)
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (f2 - f1) * (f3 - f1)
@@ -142,7 +146,12 @@ def _area_below(vals: np.ndarray, areas: np.ndarray, t: float) -> float:
     frac = np.where(lo_band, frac_lo, frac)
     frac = np.where((t > f2) & (t < f3), frac_hi, frac)
     frac = np.where(t >= f3, 1.0, frac)
-    return float(np.dot(areas, frac))
+    return np.array([np.dot(areas, row) for row in frac])
+
+
+# level-by-triangle cells per broadcast of _area_below: bounds its temporaries,
+# which would otherwise grow as K times T on a large region
+_AREA_BLOCK_CELLS = 16384
 
 
 def _region_cum(
@@ -151,12 +160,12 @@ def _region_cum(
     """Area of the clipped region below each grid value."""
     vals = _sorted_tri_values(s, tris)
     areas = s.areas[tris]
-    base = _area_below(vals, areas, clip_lo)
-    out = np.empty(len(grid))
-    for i, g in enumerate(grid):
-        t = min(max(float(g), clip_lo), clip_hi)
-        out[i] = _area_below(vals, areas, t) - base
-    return out
+    levels = np.concatenate(([clip_lo], np.clip(grid, clip_lo, clip_hi)))
+    rows = max(1, _AREA_BLOCK_CELLS // len(vals))
+    below = np.concatenate(
+        [_area_below(vals, areas, levels[i : i + rows]) for i in range(0, len(levels), rows)]
+    )
+    return below[1:] - below[0]
 
 
 # -- main extraction --------------------------------------------------------------
@@ -279,6 +288,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     graph_edges: list[ReebEdge] = []
     comp_edge: dict[tuple[int, int], int] = {}
     edge_regions: dict[int, list[tuple[int, int]]] = {}
+    region_edge: dict[tuple[int, int], int] = {}
     for eid, (tail, head, _anchor, members, style) in enumerate(edge_specs, start=1):
         lo = crit_vals[tail - 1]
         hi = crit_vals[head - 1]
@@ -288,6 +298,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
         for j, ci in members:
             root = band_regions[j][band_components[j][ci].chords[0].tri]
             regions.append((j, root))
+            region_edge[(j, root)] = eid
             tris = region_tris[j][root]
             cum += _region_cum(s, tris, crit_vals[j], crit_vals[j + 1], grid)
             comp_edge[(j, ci)] = eid
@@ -312,6 +323,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
         events=events,
         comp_edge=comp_edge,
         edge_regions=edge_regions,
+        region_edge=region_edge,
         vertex_ids=vertex_ids,
     )
     graph = MeasuredReebGraph(graph_vertices, graph_edges, {}, context=ctx)
@@ -335,15 +347,6 @@ def _canonical_rotation(order: list[int]) -> tuple[int, ...]:
 
 
 # -- cyclic order ------------------------------------------------------------------
-
-
-def _boundary_positions(s: PLSurface) -> dict[EdgeKey, tuple[int, int, tuple[int, int]]]:
-    """Map each boundary edge key to (polygon index, position, directed pair)."""
-    out: dict[EdgeKey, tuple[int, int, tuple[int, int]]] = {}
-    for p, chain in enumerate(s.boundary_polygons):
-        for i, (u, v) in enumerate(chain):
-            out[(min(u, v), max(u, v))] = (p, i, (u, v))
-    return out
 
 
 def _cyclic_order_walk(
@@ -380,7 +383,7 @@ def _cyclic_order_walk(
                 pstart, pend = end, start
             lids.append((eid, in_event, pstart, pend))
 
-    positions = _boundary_positions(s)
+    positions = level_tables(s).boundary_positions
     markers: dict[int, list[tuple[float, int, str]]] = {}
     marker_sort: dict[tuple[EdgeKey, float], tuple[int, float]] = {}
     for (key, level) in {p for lid in lids for p in (lid[2], lid[3])}:
@@ -434,7 +437,8 @@ def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
 
     Extraction is deterministic, so a graph serialized and reloaded can be
     re-attached to its surface by re-extracting and checking element-wise
-    equality of the result.
+    equality of the result.  The checked context is attached to the graph,
+    so later calls with the same surface do not extract again.
     """
     if graph.context is not None and graph.context.surface is s:
         return graph.context
@@ -451,7 +455,8 @@ def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
             raise NotSimpleMorse("graph measures do not match the surface's extraction")
     if fresh.cyclic_orders != graph.cyclic_orders:
         raise NotSimpleMorse("graph cyclic orders do not match the surface's extraction")
-    return fresh.context
+    graph.context = fresh.context
+    return graph.context
 
 
 def cyclic_order(

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import LevelOnVertex, TopologyError
 from .surface import EdgeKey, PLSurface, edge_key
 
@@ -92,17 +94,61 @@ class LevelComponent:
         return self.chords[-1].exit
 
 
+@dataclass(frozen=True)
+class LevelTables:
+    """Per-surface arrays that the level passes read.
+
+    ``adj`` holds the triangle pair of each interior mesh edge and
+    ``adj_fmin``/``adj_fmax`` the field extent of that shared edge;
+    ``boundary_positions`` maps each boundary edge key to (polygon index,
+    position in the polygon, directed pair).
+    """
+
+    fmin: np.ndarray
+    fmax: np.ndarray
+    adj: np.ndarray
+    adj_fmin: np.ndarray
+    adj_fmax: np.ndarray
+    boundary_positions: dict[EdgeKey, tuple[int, int, tuple[int, int]]]
+
+
+def level_tables(s: PLSurface) -> LevelTables:
+    """The surface's level tables, built on first use and kept on the surface.
+
+    Built lazily rather than in ``PLSurface.__init__``: surfaces that are only
+    realized for their topology never run a level pass.
+    """
+    tables = getattr(s, "_level_tables", None)
+    if tables is None:
+        tri_f = s.f[s.triangles]
+        pairs = [(k, ts) for k, ts in s.edge_tris.items() if len(ts) == 2]
+        edge_f = s.f[np.array([k for k, _ in pairs], dtype=int).reshape(-1, 2)]
+        tables = LevelTables(
+            fmin=tri_f.min(axis=1),
+            fmax=tri_f.max(axis=1),
+            adj=np.array([ts for _, ts in pairs], dtype=np.int32).reshape(-1, 2),
+            adj_fmin=edge_f.min(axis=1),
+            adj_fmax=edge_f.max(axis=1),
+            boundary_positions={
+                edge_key(*directed): (p, i, directed)
+                for p, chain in enumerate(s.boundary_polygons)
+                for i, directed in enumerate(chain)
+            },
+        )
+        s._level_tables = tables
+    return tables
+
+
 def crossing_param(s: PLSurface, key: EdgeKey, t: float) -> float:
     """Parameter of the level crossing along edge (u, v), measured from u."""
     u, v = key
     return (t - s.f[u]) / (s.f[v] - s.f[u])
 
 
-def _tri_chord(s: PLSurface, tri: int, t: float) -> Optional[Chord]:
+def _tri_chord(s: PLSurface, tri: int, t: float) -> Chord:
+    """Chord of a triangle with vertices on both sides of the level t."""
     verts = [int(x) for x in s.triangles[tri]]
     above = [s.f[v] > t for v in verts]
-    if all(above) or not any(above):
-        return None
     # lone vertex: the one on its own side of the level
     if above.count(True) == 1:
         i = above.index(True)
@@ -120,13 +166,11 @@ def _tri_chord(s: PLSurface, tri: int, t: float) -> Optional[Chord]:
 
 def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
     """All components of the level set at the regular value t."""
-    if any(fv == t for fv in s.f):
+    if np.any(s.f == t):
         raise LevelOnVertex(f"level {t!r} passes through a mesh vertex")
-    chords: dict[int, Chord] = {}
-    for tri in range(len(s.triangles)):
-        ch = _tri_chord(s, tri, t)
-        if ch is not None:
-            chords[tri] = ch
+    tables = level_tables(s)
+    crossed = np.flatnonzero((tables.fmin < t) & (tables.fmax > t))
+    chords = {tri: _tri_chord(s, tri, t) for tri in crossed.tolist()}
 
     def neighbor(tri: int, key: EdgeKey) -> Optional[int]:
         ts = s.edge_tris[key]
@@ -136,7 +180,7 @@ def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
 
     components: list[LevelComponent] = []
     visited: set[int] = set()
-    for start in sorted(chords):
+    for start in chords:
         if start in visited:
             continue
         # walk backwards to a boundary entry (or detect a circle)
@@ -164,33 +208,46 @@ def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
     return components
 
 
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node index in the component of each of n nodes joined by
+    the edges (a[i], b[i]).
+
+    Each round hooks the larger of two differing root labels onto the
+    smaller one, then jumps pointers until every label is a root.  Labels
+    only decrease, so no cycle forms, and the smallest index of a component
+    is a root that nothing can hook, so it ends as the component's label.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        la, lb = la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def slab_triangle_components(
     s: PLSurface, lo: float, hi: float
 ) -> dict[int, int]:
     """Connected components of the open slab {lo < f < hi}.
 
     Returns a map from each triangle meeting the slab in a 2-dimensional piece
-    to a deterministic component root (smallest triangle index).
+    to a deterministic component root (smallest triangle index), in
+    increasing triangle order.
     """
-    dsu = DSU()
-    members = []
-    for tri in range(len(s.triangles)):
-        verts = s.triangles[tri]
-        fmin = min(s.f[int(v)] for v in verts)
-        fmax = max(s.f[int(v)] for v in verts)
-        if fmin < hi and fmax > lo and fmin < fmax:
-            members.append(tri)
-            dsu.find(tri)
-    member_set = set(members)
-    for key, tris in s.edge_tris.items():
-        if len(tris) != 2:
-            continue
-        u, v = key
-        if min(s.f[u], s.f[v]) < hi and max(s.f[u], s.f[v]) > lo:
-            a, b = tris
-            if a in member_set and b in member_set:
-                dsu.union(a, b)
-    return {tri: dsu.find(tri) for tri in members}
+    tables = level_tables(s)
+    member = (tables.fmin < hi) & (tables.fmax > lo) & (tables.fmin < tables.fmax)
+    a, b = tables.adj[:, 0], tables.adj[:, 1]
+    linked = (tables.adj_fmin < hi) & (tables.adj_fmax > lo) & member[a] & member[b]
+    label = _min_labels(len(member), a[linked], b[linked])
+    members = np.flatnonzero(member)
+    return dict(zip(members.tolist(), label[members].tolist()))
 
 
 # -- per-triangle sublevel areas and moments -----------------------------------

@@ -7,7 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 from .reebgraph import MeasuredReebGraph, MeasureProfile, ReebEdge, ReebVertex
 from .surface import PLSurface, edge_key
 
@@ -44,13 +44,18 @@ def graph_from_dict(doc: dict[str, Any]) -> MeasuredReebGraph:
         for e in doc["edges"]:
             cum = np.asarray([float(c) for c in e["cumulative"]])
             profile = MeasureProfile(vf[int(e["tail"])], vf[int(e["head"])], cum)
-            edges.append(
-                ReebEdge(int(e["id"]), int(e["tail"]), int(e["head"]), str(e["style"]), profile)
-            )
-        cyclic = {
-            int(v): tuple(int(x) for x in order)
-            for v, order in doc.get("cyclic_orders", {}).items()
-        }
+            edge = ReebEdge(int(e["id"]), int(e["tail"]), int(e["head"]), str(e["style"]), profile)
+            # "not <=" rejects a NaN on either side too
+            if "mass" in e and not abs(float(e["mass"]) - edge.mass) <= 1e-9 * abs(edge.mass):
+                raise DataError(
+                    f"edge {edge.id}: stated mass {e['mass']!r} differs from its profile's "
+                    f"{edge.mass!r}"
+                )
+            edges.append(edge)
+        orders = doc.get("cyclic_orders", {})
+        if not isinstance(orders, dict):
+            raise ParseError("cyclic_orders must map vertex ids to edge id lists")
+        cyclic = {int(v): tuple(int(x) for x in order) for v, order in orders.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid graph JSON: {exc}") from exc
     g = MeasuredReebGraph(vertices, edges, cyclic)

@@ -449,7 +449,12 @@ def load_mesh(source: Any) -> PLSurface:
 
     xy = None
     if all(c is not None for c in coords) and coords:
-        xy = np.array([[float(c[0]), float(c[1])] for c in coords])  # type: ignore[index]
+        try:
+            xy = np.array(coords, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad vertex coordinates: {exc}") from exc
+        if xy.shape != (len(coords), 2):
+            raise ParseError("every vertex xy must be a coordinate pair")
     return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int).reshape(-1, 3), np.array(areas), xy)
 
 

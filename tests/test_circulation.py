@@ -239,6 +239,30 @@ def test_fig4a_hole_circulations(fig4a):
     assert np.allclose(xi.coords, [1.0, 2.0], atol=1e-9)
 
 
+def test_synthesis_on_reloaded_graph_extracts_once(monkeypatch):
+    # a graph loaded from JSON is checked against one fresh extraction, whose
+    # context then stays attached for every later step of the synthesis
+    from reeb_orbit import extraction
+    from reeb_orbit.models import torus_with_hole_mesh
+    from reeb_orbit.serialize import graph_from_dict, graph_to_dict
+
+    surf = torus_with_hole_mesh()
+    g = graph_from_dict(graph_to_dict(ro.extract_reeb(surf, samples=16)))
+    calls = []
+    original = extraction.extract_reeb
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extraction, "extract_reeb", counting)
+    basis = dashed_cycle_basis(g)
+    synthesize_form(
+        surf, g, solve_circulations(g).particular, XiClass(basis, np.zeros(len(basis)))
+    )
+    assert len(calls) == 1
+
+
 def test_disk_zero_target_synthesis(disk):
     # nothing to tune on a disk: the synthesized form just carries the field
     # as its vorticity

@@ -166,6 +166,41 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def _edited_copy(tmp_path, name, edit):
+    doc = json.loads((DATA / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cyclic_orders_list_exits_2(capsys, tmp_path):
+    path = _edited_copy(tmp_path, "fig2.json", lambda d: d.update(cyclic_orders=[[1, 2, 3]]))
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_stated_mass_off_profile_exits_2(capsys, tmp_path):
+    def edit(doc):
+        doc["edges"][0]["mass"] = 123.0
+
+    path = _edited_copy(tmp_path, "fig2.json", edit)
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "DataError"
+
+
+def test_one_coordinate_xy_exits_2(capsys, tmp_path):
+    def edit(doc):
+        doc["vertices"][0]["xy"] = [0.0]
+
+    path = _edited_copy(tmp_path, "disk_linear.json", edit)
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_extract_payload_byte_identical(capsys):
     _, out1, _ = run(capsys, "extract", str(DATA / "disk_linear.json"), "--samples", "8")
     _, out2, _ = run(capsys, "extract", str(DATA / "disk_linear.json"), "--samples", "8")

@@ -12,8 +12,18 @@ from reeb_orbit import (
     topology_summary,
     validate_simple_morse,
 )
-from reeb_orbit.levels import band_area, pick_regular_value, trace_level
-from reeb_orbit.models import disk_mesh
+from reeb_orbit import extraction, realize
+from reeb_orbit.fuzz import random_measured_graph
+from reeb_orbit.levels import (
+    DSU,
+    Chord,
+    band_area,
+    pick_regular_value,
+    slab_triangle_components,
+    trace_level,
+)
+from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
+from reeb_orbit.surface import edge_key, remap
 
 
 def test_classify_table_rows():
@@ -199,3 +209,120 @@ def test_remap_preserves_graph(disk):
         s2 = remap(disk, spec)
         g2 = extract_reeb(s2, samples=8)
         assert match_measured(g, g2, tol_mass=1e-9).ok
+
+
+# -- array kernels against the per-triangle loops they replaced -------------------
+#
+# The reference functions below are the full-mesh Python loops that extraction
+# ran before its level passes moved onto per-surface numpy arrays; they live
+# only here, as oracles.
+
+
+def reference_slab_components(s, lo, hi):
+    dsu = DSU()
+    members = []
+    for tri in range(len(s.triangles)):
+        verts = s.triangles[tri]
+        fmin = min(s.f[int(v)] for v in verts)
+        fmax = max(s.f[int(v)] for v in verts)
+        if fmin < hi and fmax > lo and fmin < fmax:
+            members.append(tri)
+            dsu.find(tri)
+    member_set = set(members)
+    for key, tris in s.edge_tris.items():
+        if len(tris) != 2:
+            continue
+        u, v = key
+        if min(s.f[u], s.f[v]) < hi and max(s.f[u], s.f[v]) > lo:
+            a, b = tris
+            if a in member_set and b in member_set:
+                dsu.union(a, b)
+    return {tri: dsu.find(tri) for tri in members}
+
+
+def reference_chords(s, t):
+    chords = {}
+    for tri in range(len(s.triangles)):
+        verts = [int(x) for x in s.triangles[tri]]
+        above = [s.f[v] > t for v in verts]
+        if all(above) or not any(above):
+            continue
+        if above.count(True) == 1:
+            i = above.index(True)
+            lone_above = True
+        else:
+            i = above.index(False)
+            lone_above = False
+        x = verts[i]
+        prev_e = edge_key(verts[(i + 2) % 3], x)
+        next_e = edge_key(x, verts[(i + 1) % 3])
+        chords[tri] = Chord(tri, prev_e, next_e) if lone_above else Chord(tri, next_e, prev_e)
+    return chords
+
+
+def reference_area_below(vals, areas, t):
+    f1, f2, f3 = vals[:, 0], vals[:, 1], vals[:, 2]
+    frac = np.zeros(len(vals))
+    lo_band = (t > f1) & (t <= f2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (f2 - f1) * (f3 - f1)
+        frac_lo = np.where(d1 > 0.0, (t - f1) ** 2 / np.where(d1 > 0, d1, 1.0), 0.0)
+        d2 = (f3 - f2) * (f3 - f1)
+        frac_hi = np.where(d2 > 0.0, 1.0 - (f3 - t) ** 2 / np.where(d2 > 0, d2, 1.0), 1.0)
+    frac = np.where(lo_band, frac_lo, frac)
+    frac = np.where((t > f2) & (t < f3), frac_hi, frac)
+    frac = np.where(t >= f3, 1.0, frac)
+    return float(np.dot(areas, frac))
+
+
+def reference_region_cum(s, tris, clip_lo, clip_hi, grid):
+    vals = np.sort(s.f[s.triangles[tris]], axis=1)
+    areas = s.areas[tris]
+    base = reference_area_below(vals, areas, clip_lo)
+    out = np.empty(len(grid))
+    for i, g in enumerate(grid):
+        t = min(max(float(g), clip_lo), clip_hi)
+        out[i] = reference_area_below(vals, areas, t) - base
+    return out
+
+
+def _kernel_case(name):
+    if name == "torus_with_hole":
+        return torus_with_hole_mesh()
+    if name == "disk":
+        return disk_mesh()
+    seed, refined = int(name[4:9]), name.endswith("-refined")
+    surf = realize(random_measured_graph(seed), resolution=6).surface
+    return remap(surf, {"kind": "refine"}) if refined else surf
+
+
+KERNEL_CASES = [f"fuzz{seed}{suffix}" for seed in (20000, 20001, 20002) for suffix in ("", "-refined")]
+KERNEL_CASES += ["torus_with_hole", "disk"]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_level_kernels_match_reference_loops(name):
+    s = _kernel_case(name)
+    g = extract_reeb(s, samples=16)
+    ctx = g.context
+    crit, bands = ctx.critical_values, ctx.band_values
+    m = len(crit)
+    # the band slabs and the slabs around each critical level
+    slabs = [(crit[j], crit[j + 1]) for j in range(m - 1)]
+    slabs += [
+        (bands[j - 1] if j >= 1 else -math.inf, bands[j] if j <= m - 2 else math.inf)
+        for j in range(m)
+    ]
+    for lo, hi in slabs:
+        got = slab_triangle_components(s, lo, hi)
+        assert list(got.items()) == list(reference_slab_components(s, lo, hi).items())
+    for t in bands:
+        chords = {c.tri: c for comp in trace_level(s, t) for c in comp.chords}
+        assert dict(sorted(chords.items())) == reference_chords(s, t)
+    for e in g.edges:
+        grid = e.profile.grid()
+        for band, root in ctx.edge_regions[e.id]:
+            tris = ctx.region_tris[band][root]
+            got = extraction._region_cum(s, tris, crit[band], crit[band + 1], grid)
+            want = reference_region_cum(s, tris, crit[band], crit[band + 1], grid)
+            assert got.tolist() == want.tolist()
