@@ -14,7 +14,6 @@ from .errors import (
     InvalidGraph,
     LevelOnVertex,
     NonIntegerFormulaValue,
-    NoSolution,
     NotSimpleMorse,
     ParseError,
     ReebOrbitError,

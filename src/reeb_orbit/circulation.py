@@ -453,17 +453,12 @@ def _walk_boundary(
 
 
 def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
-    j, ci = min(
-        (bc for bc, eid in ctx.comp_edge.items() if eid == e.id), key=lambda bc: bc[0]
-    )
-    comp = ctx.band_components[j][ci]
-    lifted = _walk_boundary(
-        s, comp.start_key, ctx.band_values[j], e.profile.f_lo, e.profile.f_hi
-    )
+    probe, comp = ctx.probe_component(e.id)
+    lifted = _walk_boundary(s, comp.start_key, probe, e.profile.f_lo, e.profile.f_hi)
     return LiftedEdge(e.id, lifted.pieces, lifted.start_node, lifted.end_node)
 
 
-def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int, g: MeasuredReebGraph) -> SingularTree:
+def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTree:
     j = vid - 1
     w = ctx.critical_vertices[j]
     c = ctx.critical_values[j]
@@ -536,7 +531,7 @@ def lift_dashed_graph(s: PLSurface, g: MeasuredReebGraph) -> LiftedGraph:
     trees = {}
     for v in g.vertices:
         if v.vtype in ("II", "IV"):
-            trees[v.id] = _singular_tree(s, ctx, v.id, g)
+            trees[v.id] = _singular_tree(s, ctx, v.id)
     return LiftedGraph(edges, trees)
 
 
@@ -655,10 +650,15 @@ def xi_class(s: PLSurface, a: DiscreteOneForm, g: MeasuredReebGraph) -> XiClass:
 
 
 def edge_probe_value(ctx: ExtractionContext, eid: int) -> float:
-    j, _ = min(
-        (bc for bc, e in ctx.comp_edge.items() if e == eid), key=lambda bc: bc[0]
-    )
-    return ctx.band_values[j]
+    return ctx.probe_component(eid)[0]
+
+
+def _probe_circle(ctx: ExtractionContext, e: ReebEdge) -> tuple[float, LevelComponent]:
+    """Probe level of a solid edge and its level circle there."""
+    probe, comp = ctx.probe_component(e.id)
+    if not comp.is_circle:
+        raise InvalidGraph(f"edge {e.id} level is not a circle")
+    return probe, comp
 
 
 def augment(s: PLSurface, a: DiscreteOneForm, g: Optional[MeasuredReebGraph] = None) -> AugmentedCirculationGraph:
@@ -675,8 +675,8 @@ def augment(s: PLSurface, a: DiscreteOneForm, g: Optional[MeasuredReebGraph] = N
     ctx = ensure_context(s, g)
     limits = {}
     for e in g.solid_edges():
-        probe = edge_probe_value(ctx, e.id)
-        val = circulation_from_form(s, a, g, (e.id, probe))
+        probe, comp = _probe_circle(ctx, e)
+        val = _evaluate(a, polyline_coeffs(s, comp))
         tail = val - e.profile.partial_moment(e.profile.f_lo, probe)
         head = tail + edge_moment(g, e)
         limits[e.id] = (tail, head)
@@ -745,19 +745,13 @@ def synthesize_form(
     # per dashed basis cycle
     con_rows: list[dict[EdgeKey, float]] = []
     con_rhs: list[float] = []
-    for e in g.solid_edges():
-        probe = edge_probe_value(ctx, e.id)
-        comp = None
-        for cand in trace_level(s, probe):
-            if ctx.edge_of_component(probe, cand) == e.id:
-                comp = cand
-                break
-        if comp is None or not comp.is_circle:
-            raise InvalidGraph(f"no circle level found for edge {e.id}")
+    probe_moments: list[float] = []  # profile moment below each probe level
+    solids = g.solid_edges()
+    for e in solids:
+        probe, comp = _probe_circle(ctx, e)
         con_rows.append(polyline_coeffs(s, comp))
-        con_rhs.append(
-            target_c.limits[e.id][0] + e.profile.partial_moment(e.profile.f_lo, probe)
-        )
+        probe_moments.append(e.profile.partial_moment(e.profile.f_lo, probe))
+        con_rhs.append(target_c.limits[e.id][0] + probe_moments[-1])
     if basis:
         lifted = lift_dashed_graph(s, g)
         for cycle, coord in zip(basis, target_xi.coords):
@@ -791,17 +785,19 @@ def synthesize_form(
     x = x_full[:ne]
     form = DiscreteOneForm(s, {k: float(x[col[k]]) for k in keys})
 
-    # verify the prioritized constraints were met
-    extracted = augment(s, form, g)
-    for e in g.solid_edges():
-        want = target_c.limits[e.id]
-        got = extracted.circulation.limits[e.id]
-        if abs(want[0] - got[0]) > 1e-7 * scale:
+    # verify the prioritized constraints were met, reading each tail limit
+    # back from its row as augment() would
+    got = [_evaluate(form, row) for row in con_rows]
+    for e, value, moment in zip(solids, got, probe_moments):
+        want = target_c.limits[e.id][0]
+        tail = value - moment
+        if abs(want - tail) > 1e-7 * scale:
             raise InfeasibleTarget(
                 f"circulation target on edge {e.id} not met "
-                f"({want[0]:g} vs {got[0]:g}); system is inconsistent"
+                f"({want:g} vs {tail:g}); system is inconsistent"
             )
     if basis:
-        if np.max(np.abs(extracted.xi.coords - target_xi.coords)) > 1e-7 * scale:
+        coords = np.array(got[len(solids) :])
+        if np.max(np.abs(coords - target_xi.coords)) > 1e-7 * scale:
             raise InfeasibleTarget("cycle coordinate targets not met")
     return form

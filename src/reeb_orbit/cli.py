@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -51,19 +50,6 @@ def _write_or_print(doc: dict, out: str | None) -> None:
         Path(out).write_text(serialize.dumps(doc), encoding="utf-8")
     else:
         _emit(doc)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("REEB_ORBIT_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ReebOrbitError(f"REEB_ORBIT_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ReebOrbitError("REEB_ORBIT_THREADS must be at least 1")
-    return cap
 
 
 def cmd_validate(args) -> int:
@@ -282,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _threads_cap()  # validate the env var; execution is sequential
         return args.func(args)
     except ReebOrbitError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})

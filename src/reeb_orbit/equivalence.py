@@ -149,33 +149,27 @@ def match_measured(
                 f"{len(edges)} edges {pair} vs {len(bundles2.get(mapped, []))} at {mapped}",
             )
 
-    def candidate_maps():
-        keys = sorted(bundles1)
-        sorted1 = {
-            k: sorted(bundles1[k], key=lambda e: (e.style, e.mass, e.id)) for k in keys
-        }
-        sorted2 = {
-            k: sorted(
-                bundles2[(vm[k[0]], vm[k[1]])], key=lambda e: (e.style, e.mass, e.id)
-            )
-            for k in keys
-        }
-        perm_sets = []
-        for k in keys:
-            n = len(sorted1[k])
-            perm_sets.append(list(itertools.permutations(range(n))))
-        for combo in itertools.islice(itertools.product(*perm_sets), 720):
-            em = {}
-            for k, perm in zip(keys, combo):
-                for i, e in enumerate(sorted1[k]):
-                    em[e.id] = sorted2[k][perm[i]].id
-            yield em
+    # Every vertex type has at most two in-edges and two out-edges, so a
+    # bundle of parallel edges has at most two bijections onto its partner
+    # bundle.  Style and measure are checked per edge, so each bundle's
+    # bijections are filtered on their own; only bundles with an edge in a
+    # cyclic order are searched jointly, in product order.
+    keys = sorted(bundles1)
+    order_key = lambda e: (e.style, e.mass, e.id)  # noqa: E731
+    sorted1 = {k: sorted(bundles1[k], key=order_key) for k in keys}
+    sorted2 = {k: sorted(bundles2[(vm[k[0]], vm[k[1]])], key=order_key) for k in keys}
 
-    def check(em: dict[int, int]) -> Optional[Obstruction]:
-        for e in g1.edges:
+    def bundle_map(k: tuple[int, int], perm) -> dict[int, int]:
+        return {e.id: sorted2[k][p].id for e, p in zip(sorted1[k], perm)}
+
+    def style_obstruction(em: dict[int, int], edges) -> Optional[Obstruction]:
+        for e in edges:
             e2 = g2.edge(em[e.id])
             if e.style != e2.style:
                 return Obstruction("STYLE", f"edge {e.id} {e.style} vs {e2.id} {e2.style}")
+        return None
+
+    def order_obstruction(em: dict[int, int]) -> Optional[Obstruction]:
         for vid, order in g1.cyclic_orders.items():
             mapped = tuple(em[eid] for eid in order)
             other = g2.cyclic_orders.get(vm[vid])
@@ -187,7 +181,10 @@ def match_measured(
         for vid in g2.cyclic_orders:
             if vid not in {vm[v] for v in g1.cyclic_orders}:
                 return Obstruction("CYCLIC_ORDER", f"partner vertex {vid} has extra order")
-        for e in g1.edges:
+        return None
+
+    def measure_obstruction(em: dict[int, int], edges) -> Optional[Obstruction]:
+        for e in edges:
             e2 = g2.edge(em[e.id])
             scale = max(abs(e.mass), abs(e2.mass))
             if abs(e.mass - e2.mass) > tol_mass * scale:
@@ -198,14 +195,44 @@ def match_measured(
                 return Obstruction("MEASURE", f"edge {e.id} profile differs")
         return None
 
-    first_obstruction: Optional[Obstruction] = None
-    for em in candidate_maps():
-        obs = check(em)
-        if obs is None:
-            return GraphIsomorphism(vm, em)
-        if first_obstruction is None:
-            first_obstruction = obs
-    return GraphIsomorphism({}, {}, first_obstruction)
+    def passing(k: tuple[int, int]):
+        """Bijections of bundle k that keep each of its edges' style and measure."""
+        for perm in itertools.permutations(range(len(sorted1[k]))):
+            bm = bundle_map(k, perm)
+            if not (style_obstruction(bm, sorted1[k]) or measure_obstruction(bm, sorted1[k])):
+                yield perm
+
+    ordered = {eid for order in g1.cyclic_orders.values() for eid in order}
+    coupled = [k for k in keys if any(e.id in ordered for e in sorted1[k])]
+
+    def search() -> Optional[dict[int, int]]:
+        em: dict[int, int] = {}
+        for k in keys:
+            if k not in coupled:
+                perm = next(passing(k), None)
+                if perm is None:
+                    return None
+                em.update(bundle_map(k, perm))
+        for combo in itertools.product(*(list(passing(k)) for k in coupled)):
+            for k, perm in zip(coupled, combo):
+                em.update(bundle_map(k, perm))
+            if order_obstruction(em) is None:
+                return em
+        return None
+
+    em = search()
+    if em is not None:
+        return GraphIsomorphism(vm, em)
+
+    # no map passes: report what stops the identity candidate
+    identity = {e.id: e2.id for k in keys for e, e2 in zip(sorted1[k], sorted2[k])}
+    return GraphIsomorphism(
+        {},
+        {},
+        style_obstruction(identity, g1.edges)
+        or order_obstruction(identity)
+        or measure_obstruction(identity, g1.edges),
+    )
 
 
 def match_augmented(

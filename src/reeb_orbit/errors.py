@@ -42,16 +42,6 @@ class LevelOnVertex(ReebOrbitError):
     """Query level hits a mesh vertex exactly; perturb the query value."""
 
 
-class NoSolution(ReebOrbitError):
-    """Circulation system is infeasible on a closed graph."""
-
-    def __init__(self, total_moment: float):
-        super().__init__(
-            f"no circulation function exists: total moment {total_moment!r} != 0"
-        )
-        self.total_moment = total_moment
-
-
 class InfeasibleTarget(ReebOrbitError):
     """Requested circulation/cycle data cannot be realized by any one-form."""
 

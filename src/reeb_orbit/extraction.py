@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,30 +80,21 @@ def classify_level_transition(
 
 
 @dataclass
-class EventInfo:
-    critical_index: int
-    mesh_vertex: int
-    below: list[int]  # component indices in band j-1
-    above: list[int]  # component indices in band j
-
-
-@dataclass
 class ExtractionContext:
-    """Witness tying graph elements back to the mesh they came from."""
+    """Witness tying graph elements back to the mesh they came from.
+
+    Each edge's members are its (band, component index) pairs in band order;
+    its first member is the probe component that consumers integrate over.
+    """
 
     surface: PLSurface
-    samples: int
     critical_vertices: list[int]  # mesh vertex indices, sorted by f
     critical_values: list[float]
     band_values: list[float]
     band_components: list[list[LevelComponent]]
-    band_regions: list[dict[int, int]]
-    region_tris: list[dict[int, list[int]]]
-    events: list[EventInfo]
-    comp_edge: dict[tuple[int, int], int]  # (band, comp index) -> edge id
-    edge_regions: dict[int, list[tuple[int, int]]]  # edge id -> [(band, root)]
+    band_regions: list[dict[int, int]]  # per band: triangle -> region root
+    edge_members: dict[int, list[tuple[int, int]]]  # edge id -> [(band, comp index)]
     region_edge: dict[tuple[int, int], int]  # (band, root) -> edge id
-    vertex_ids: dict[int, int]  # critical index -> graph vertex id
 
     def band_of(self, value: float) -> int:
         j = bisect.bisect_left(self.critical_values, value) - 1
@@ -113,11 +104,21 @@ class ExtractionContext:
 
     def edge_of_component(self, value: float, comp: LevelComponent) -> int:
         j = self.band_of(value)
-        root = self.band_regions[j][comp.chords[0].tri]
-        return self.comp_edge_by_region(j, root)
+        return self.region_edge[(j, self.band_regions[j][comp.chords[0].tri])]
 
-    def comp_edge_by_region(self, band: int, root: int) -> int:
-        return self.region_edge[(band, root)]
+    def probe_component(self, eid: int) -> tuple[float, LevelComponent]:
+        """The edge's probe level (its first band value) and its component there."""
+        j, ci = self.edge_members[eid][0]
+        return self.band_values[j], self.band_components[j][ci]
+
+    def edge_triangles(self, eid: int) -> list[tuple[int, list[int]]]:
+        """(band, the edge's triangles in that band's slab), in band order."""
+        out = []
+        for j, ci in self.edge_members[eid]:
+            regions = self.band_regions[j]
+            root = regions[self.band_components[j][ci].chords[0].tri]
+            out.append((j, [tri for tri, r in regions.items() if r == root]))
+        return out
 
 
 # -- vectorized clipped areas ----------------------------------------------------
@@ -195,13 +196,6 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     band_regions = [
         slab_triangle_components(s, crit_vals[j], crit_vals[j + 1]) for j in range(m - 1)
     ]
-    region_tris: list[dict[int, list[int]]] = []
-    for regions in band_regions:
-        by_root: dict[int, list[int]] = {}
-        for tri, root in regions.items():
-            by_root.setdefault(root, []).append(tri)
-        region_tris.append({r: sorted(ts) for r, ts in by_root.items()})
-
     # each band component must sit in its own band region
     for j, comps in enumerate(band_components):
         roots = [band_regions[j][c.chords[0].tri] for c in comps]
@@ -213,7 +207,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
 
     # events and pass-through gluing
     dsu = DSU()
-    events: list[EventInfo] = []
+    events: list[tuple[list[int], list[int]]] = []  # (below, above) per critical level
     for j in range(m):
         lo = band_values[j - 1] if j >= 1 else -math.inf
         hi = band_values[j] if j <= m - 2 else math.inf
@@ -230,7 +224,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
                 root = slab[comp.chords[0].tri]
                 groups.setdefault(root, ([], []))[1].append(ci)
         below, above = groups.pop(event_root, ([], []))
-        events.append(EventInfo(j, crit_idx[j], below, above))
+        events.append((below, above))
         for root, (bs, as_) in sorted(groups.items()):
             if len(bs) != 1 or len(as_) != 1:
                 raise UnclassifiableTransition(
@@ -255,53 +249,55 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
         if bands != list(range(bands[0], bands[-1] + 1)):
             raise UnclassifiableTransition("edge family skips a band")
 
-    # vertex objects
-    vertex_ids = {j: j + 1 for j in range(m)}
+    # vertex objects; critical level j is vertex j + 1
     graph_vertices: list[ReebVertex] = []
     comp_style = lambda j, ci: band_components[j][ci].is_circle  # noqa: E731
-    for j, ev in enumerate(events):
+    for j, (below, above) in enumerate(events):
         below_counts = (
-            sum(1 for ci in ev.below if comp_style(j - 1, ci)),
-            sum(1 for ci in ev.below if not comp_style(j - 1, ci)),
+            sum(1 for ci in below if comp_style(j - 1, ci)),
+            sum(1 for ci in below if not comp_style(j - 1, ci)),
         )
         above_counts = (
-            sum(1 for ci in ev.above if comp_style(j, ci)),
-            sum(1 for ci in ev.above if not comp_style(j, ci)),
+            sum(1 for ci in above if comp_style(j, ci)),
+            sum(1 for ci in above if not comp_style(j, ci)),
         )
         vtype, orientation = classify_level_transition(below_counts, above_counts)
-        graph_vertices.append(ReebVertex(vertex_ids[j], crit_vals[j], vtype, orientation))
+        graph_vertices.append(ReebVertex(j + 1, crit_vals[j], vtype, orientation))
 
     # edge objects, deterministically ordered
     edge_specs = []
-    for root, members in classes.items():
-        b0, c0 = members[0]
-        b1, c1 = members[-1]
-        tail = vertex_ids[b0]
-        head = vertex_ids[b1 + 1]
+    for members in classes.values():
+        tail, head = members[0][0] + 1, members[-1][0] + 2
         style_flags = {band_components[j][ci].is_circle for j, ci in members}
         if len(style_flags) != 1:
             raise UnclassifiableTransition("edge family changes style between bands")
         style = "solid" if style_flags.pop() else "dashed"
-        edge_specs.append((tail, head, members[0], members, style))
-    edge_specs.sort(key=lambda spec: (spec[0], spec[1], spec[2]))
+        edge_specs.append((tail, head, members, style))
+    edge_specs.sort(key=lambda spec: (spec[0], spec[1], spec[2][0]))
 
+    edge_members = {eid: spec[2] for eid, spec in enumerate(edge_specs, start=1)}
+    ctx = ExtractionContext(
+        surface=s,
+        critical_vertices=crit_idx,
+        critical_values=crit_vals,
+        band_values=band_values,
+        band_components=band_components,
+        band_regions=band_regions,
+        edge_members=edge_members,
+        region_edge={
+            (j, band_regions[j][band_components[j][ci].chords[0].tri]): eid
+            for eid, members in edge_members.items()
+            for j, ci in members
+        },
+    )
     graph_edges: list[ReebEdge] = []
-    comp_edge: dict[tuple[int, int], int] = {}
-    edge_regions: dict[int, list[tuple[int, int]]] = {}
-    region_edge: dict[tuple[int, int], int] = {}
-    for eid, (tail, head, _anchor, members, style) in enumerate(edge_specs, start=1):
+    for eid, (tail, head, _members, style) in enumerate(edge_specs, start=1):
         lo = crit_vals[tail - 1]
         hi = crit_vals[head - 1]
         grid = np.linspace(lo, hi, samples + 1)
         cum = np.zeros(samples + 1)
-        regions = []
-        for j, ci in members:
-            root = band_regions[j][band_components[j][ci].chords[0].tri]
-            regions.append((j, root))
-            region_edge[(j, root)] = eid
-            tris = region_tris[j][root]
+        for j, tris in ctx.edge_triangles(eid):
             cum += _region_cum(s, tris, crit_vals[j], crit_vals[j + 1], grid)
-            comp_edge[(j, ci)] = eid
         cum[0] = 0.0
         if np.any(np.diff(cum) <= 0.0):
             raise UnclassifiableTransition(
@@ -309,33 +305,19 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
             )
         profile = MeasureProfile(lo, hi, cum)
         graph_edges.append(ReebEdge(eid, tail, head, style, profile))
-        edge_regions[eid] = regions
-
-    ctx = ExtractionContext(
-        surface=s,
-        samples=samples,
-        critical_vertices=crit_idx,
-        critical_values=crit_vals,
-        band_values=band_values,
-        band_components=band_components,
-        band_regions=band_regions,
-        region_tris=region_tris,
-        events=events,
-        comp_edge=comp_edge,
-        edge_regions=edge_regions,
-        region_edge=region_edge,
-        vertex_ids=vertex_ids,
-    )
     graph = MeasuredReebGraph(graph_vertices, graph_edges, {}, context=ctx)
 
-    for j, ev in enumerate(events):
-        vid = vertex_ids[j]
-        incident_dashed = graph.dashed_degree(vid)
-        if incident_dashed >= 3:
+    # the lids of a cyclic-order vertex are the band levels on either side,
+    # already traced, and its event slab already sorted them into below/above
+    for j, (below, above) in enumerate(events):
+        if graph.dashed_degree(j + 1) >= 3:
             order = _cyclic_order_walk(
-                s, ctx, crit_idx[j], band_values[j - 1], band_values[j]
+                s,
+                ctx,
+                (band_values[j - 1], band_components[j - 1], below),
+                (band_values[j], band_components[j], above),
             )
-            graph.cyclic_orders[vid] = _canonical_rotation(order)
+            graph.cyclic_orders[j + 1] = _canonical_rotation(order)
 
     graph.validate()
     return graph
@@ -349,12 +331,13 @@ def _canonical_rotation(order: list[int]) -> tuple[int, ...]:
 # -- cyclic order ------------------------------------------------------------------
 
 
+# a lid level: its value, its traced components, and the indices of those
+# components that lie in the event component of the vertex slab
+LidLevel = tuple[float, list[LevelComponent], list[int]]
+
+
 def _cyclic_order_walk(
-    s: PLSurface,
-    ctx: ExtractionContext,
-    crit_vertex: int,
-    lo_val: float,
-    hi_val: float,
+    s: PLSurface, ctx: ExtractionContext, lower: LidLevel, upper: LidLevel
 ) -> list[int]:
     """Order of incident dashed edges along the oriented slab boundary.
 
@@ -362,22 +345,17 @@ def _cyclic_order_walk(
     arcs of the surface; following the oriented closed curve and recording
     which edge each lid projects to yields the cyclic order.
     """
-    comps_lo = trace_level(s, lo_val)
-    comps_hi = trace_level(s, hi_val)
-    slab = slab_triangle_components(s, lo_val, hi_val)
-    event_root = slab[s.vertex_tris[crit_vertex][0]]
-
     # lids of the event component, with boundary-orientation-adjusted endpoints
-    lids = []  # (edge_id, pstart = (key, level), pend = (key, level))
-    for level, comps in ((lo_val, comps_lo), (hi_val, comps_hi)):
-        for comp in comps:
+    lids = []  # (edge_id, in_event, pstart = (key, level), pend = (key, level))
+    for (level, comps, event_indices), is_upper in ((lower, False), (upper, True)):
+        for ci, comp in enumerate(comps):
             if comp.is_circle:
                 continue
-            in_event = slab.get(comp.chords[0].tri) == event_root
+            in_event = ci in event_indices
             eid = ctx.edge_of_component(level, comp) if in_event else None
             start = (comp.start_key, level)
             end = (comp.end_key, level)
-            if level == hi_val:
+            if is_upper:
                 pstart, pend = start, end
             else:
                 pstart, pend = end, start
@@ -491,7 +469,16 @@ def cyclic_order(
     all_f = [float(x) for x in s.f]
     lo_val = pick_regular_value(v.f - eff, v.f, all_f)
     hi_val = pick_regular_value(v.f, v.f + eff, all_f)
-    order = _cyclic_order_walk(s, ctx, ctx.critical_vertices[j], lo_val, hi_val)
+    slab = slab_triangle_components(s, lo_val, hi_val)
+    event_root = slab[s.vertex_tris[ctx.critical_vertices[j]][0]]
+
+    def lid_level(t: float) -> LidLevel:
+        comps = trace_level(s, t)
+        return t, comps, [
+            ci for ci, c in enumerate(comps) if slab.get(c.chords[0].tri) == event_root
+        ]
+
+    order = _cyclic_order_walk(s, ctx, lid_level(lo_val), lid_level(hi_val))
     return _canonical_rotation(order)
 
 

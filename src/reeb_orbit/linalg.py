@@ -1,6 +1,6 @@
 """Exact rational Gaussian elimination for small integer systems.
 
-Rank, nullspace, and solves for incidence-type matrices are computed over
+Nullspaces and solves for incidence-type matrices are computed over
 the rationals, so dimension counts are exact integers rather than numerical
 rank estimates.
 """
@@ -40,11 +40,6 @@ def rref(rows: Sequence[Sequence[float]]) -> tuple[list[list[Fraction]], list[in
         if r == len(mat):
             break
     return mat, pivots
-
-
-def rank(rows: Sequence[Sequence[float]]) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
 
 
 def nullspace(rows: Sequence[Sequence[float]], ncols: int) -> list[list[Fraction]]:

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import InvalidGraph
+from .errors import DataError, InvalidGraph
 
 VERTEX_TYPES = ("I", "II", "III", "IV", "V", "VI", "VII")
 AS_IN_TABLE = "as-in-table"
@@ -84,6 +84,9 @@ class MeasureProfile:
     def check(self) -> None:
         if len(self.cumulative) < 2:
             raise InvalidGraph("profile needs at least two samples")
+        # NaN slips through the order checks below, inf through the mass sum
+        if not np.all(np.isfinite(self.cumulative)):
+            raise DataError("profile samples must be finite")
         if not self.f_lo < self.f_hi:
             raise InvalidGraph("profile range must be increasing")
         if self.cumulative[0] != 0.0:
@@ -177,6 +180,8 @@ class MeasuredReebGraph:
         if any(e.id < 1 for e in self.edges):
             raise InvalidGraph("edge ids must be positive (signed cycle encoding)")
         fvals = [v.f for v in self.vertices]
+        if not all(math.isfinite(f) for f in fvals):
+            raise DataError("vertex field values must be finite")
         if len(set(fvals)) != len(fvals):
             raise InvalidGraph("vertex field values must be pairwise distinct")
 

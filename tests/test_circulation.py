@@ -53,9 +53,7 @@ def test_edge_moment_against_mesh_quadrature(torus_with_hole):
     g = ro.extract_reeb(torus_with_hole, samples=48)
     ctx = g.context
     e = g.edge(1)
-    tris = sorted(
-        {t for (band, root) in ctx.edge_regions[e.id] for t in ctx.region_tris[band][root]}
-    )
+    tris = sorted({t for _, band_tris in ctx.edge_triangles(e.id) for t in band_tris})
     grid = e.profile.grid()
     oracle = 0.0
     from reeb_orbit.levels import band_area
@@ -363,3 +361,69 @@ def test_synthesize_rejects_bad_circulation(fig2):
     bad = CirculationFunction({e.id: (0.0, 0.0) for e in g.solid_edges()})
     with pytest.raises(ro.InfeasibleTarget):
         synthesize_form(surf, g, bad, XiClass(dashed_cycle_basis(g), np.zeros(0)))
+
+
+def _zero_targets(g):
+    basis = dashed_cycle_basis(g)
+    return solve_circulations(g).particular, XiClass(basis, np.zeros(len(basis)))
+
+
+def test_synthesis_reads_probe_levels_from_the_context(monkeypatch):
+    # the attached context already holds every probe circle, and the solve is
+    # checked on its own constraint rows
+    from reeb_orbit import circulation, extraction
+    from reeb_orbit.models import torus_with_hole_mesh
+
+    surf = torus_with_hole_mesh()
+    g = ro.extract_reeb(surf, samples=16)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("synthesis re-derived what the context holds")
+
+    monkeypatch.setattr(circulation, "trace_level", forbidden)
+    monkeypatch.setattr(extraction, "trace_level", forbidden)
+    monkeypatch.setattr(circulation, "augment", forbidden)
+    synthesize_form(surf, g, *_zero_targets(g))
+
+
+def test_synthesis_lifts_the_dashed_graph_once(monkeypatch):
+    from reeb_orbit import circulation
+    from reeb_orbit.fuzz import random_measured_graph
+
+    surf = ro.realize(random_measured_graph(30014, max_events=6), resolution=4).surface
+    g = ro.extract_reeb(surf, samples=16)
+    assert dashed_cycle_basis(g)
+    calls = []
+    original = circulation.lift_dashed_graph
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(circulation, "lift_dashed_graph", counting)
+    synthesize_form(surf, g, *_zero_targets(g))
+    assert len(calls) == 1
+
+
+def _wrong_solution(monkeypatch):
+    from reeb_orbit import circulation
+
+    monkeypatch.setattr(
+        circulation.scipy.sparse.linalg, "spsolve", lambda kkt, rhs: np.zeros(len(rhs))
+    )
+
+
+def test_synthesis_check_catches_a_missed_circulation(monkeypatch, torus_with_hole):
+    g = ro.extract_reeb(torus_with_hole, samples=16)
+    target, xi = _zero_targets(g)
+    _wrong_solution(monkeypatch)
+    with pytest.raises(ro.InfeasibleTarget, match="circulation target on edge"):
+        synthesize_form(torus_with_hole, g, target, xi)
+
+
+def test_synthesis_check_catches_a_missed_cycle_coordinate(monkeypatch, annulus):
+    g = ro.extract_reeb(annulus, samples=16)
+    assert not g.solid_edges()
+    _wrong_solution(monkeypatch)
+    with pytest.raises(ro.InfeasibleTarget, match="cycle coordinate targets not met"):
+        synthesize_form(annulus, g, CirculationFunction({}), XiClass(dashed_cycle_basis(g), [1.0]))

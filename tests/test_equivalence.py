@@ -231,3 +231,47 @@ def test_augmented_xi_obstruction_on_fig4a(fig4a):
     iso = match_augmented(a1, a2)
     assert not iso.ok and iso.obstruction.kind == "XI"
     assert match_augmented(a1, a1).ok
+
+
+def height_graph(genus, samples=16):
+    """Height function on a closed surface of the given genus.
+
+    Vertex v sits at f = v - 1.  Handle i splits a circle at vertex 2i and
+    merges it back at vertex 2i + 1 through two solid edges of equal mass and
+    different profiles (edge ids 3i - 1 and 3i).
+    """
+    u = np.linspace(0.0, 1.0, samples + 1)
+    vertices = [ReebVertex(1, 0.0, "VII")]
+    specs = [(1, 2, 0.8, u)]
+    for i in range(1, genus + 1):
+        split, merge = 2 * i, 2 * i + 1
+        vertices += [ReebVertex(split, split - 1.0, "VI", "f-reversed")]
+        vertices += [ReebVertex(merge, merge - 1.0, "VI")]
+        mass = 0.5 + 0.05 * i
+        specs += [(split, merge, mass, u), (split, merge, mass, u**2)]
+        specs += [(merge, merge + 1, 0.9, u)]
+    vertices.append(ReebVertex(2 * genus + 2, 2 * genus + 1.0, "VII", "f-reversed"))
+    edges = [
+        ReebEdge(eid, t, h, "solid", MeasureProfile(t - 1.0, h - 1.0, mass * shape))
+        for eid, (t, h, mass, shape) in enumerate(specs, start=1)
+    ]
+    g = MeasuredReebGraph(vertices, edges)
+    g.validate()
+    return g
+
+
+def test_genus_11_bundle_swap_matches():
+    # 11 bundles of two equal-mass edges give 2048 candidate maps; the right
+    # one swaps the first bundle, so a search in product order meets it at
+    # candidate 1025
+    g1 = height_graph(11)
+    swap = {2: 3, 3: 2}
+    g2 = MeasuredReebGraph(
+        list(g1.vertices),
+        [ReebEdge(swap.get(e.id, e.id), e.tail, e.head, e.style, e.profile) for e in g1.edges],
+    )
+    g2.validate()
+    iso = match_measured(g1, g2)
+    assert iso.ok
+    assert iso.vertex_map == {v.id: v.id for v in g1.vertices}
+    assert iso.edge_map == {e.id: swap.get(e.id, e.id) for e in g1.edges}

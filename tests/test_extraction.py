@@ -102,9 +102,7 @@ def test_profile_increments_match_clipping_oracle(disk, annulus):
         ctx = g.context
         for e in g.edges:
             grid = e.profile.grid()
-            tris = sorted(
-                {t for (band, root) in ctx.edge_regions[e.id] for t in ctx.region_tris[band][root]}
-            )
+            tris = sorted({t for _, band_tris in ctx.edge_triangles(e.id) for t in band_tris})
             for i, j in [(0, 5), (3, 11), (0, len(grid) - 1)]:
                 increment = e.profile.cumulative[j] - e.profile.cumulative[i]
                 oracle = band_area(s, tris, grid[i], grid[j])
@@ -321,8 +319,26 @@ def test_level_kernels_match_reference_loops(name):
         assert dict(sorted(chords.items())) == reference_chords(s, t)
     for e in g.edges:
         grid = e.profile.grid()
-        for band, root in ctx.edge_regions[e.id]:
-            tris = ctx.region_tris[band][root]
+        for band, tris in ctx.edge_triangles(e.id):
             got = extraction._region_cum(s, tris, crit[band], crit[band + 1], grid)
             want = reference_region_cum(s, tris, crit[band], crit[band + 1], grid)
             assert got.tolist() == want.tolist()
+
+
+def test_extraction_traces_each_band_once(monkeypatch):
+    # one traced level per band and one slab per band and per critical level;
+    # the cyclic-order walk reuses the band levels and the event slab
+    s = realize(random_measured_graph(20000), resolution=6).surface
+    calls = {"trace_level": 0, "slab_triangle_components": 0}
+    for name in calls:
+        original = getattr(extraction, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(extraction, name, counting)
+    g = extract_reeb(s, samples=12)
+    m = len(g.vertices)
+    assert g.cyclic_orders
+    assert calls == {"trace_level": m - 1, "slab_triangle_components": 2 * m - 1}
