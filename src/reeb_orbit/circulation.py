@@ -462,24 +462,28 @@ def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTr
     j = vid - 1
     w = ctx.critical_vertices[j]
     c = ctx.critical_values[j]
-    nodes: set[Node] = set()
-    edges: list[tuple[Node, Node, dict[EdgeKey, float]]] = []
 
-    at_level = {i for i in range(len(s.f)) if s.f[i] == c}
-    for key in sorted(s.edge_tris):
-        u, v = key
-        if u in at_level and v in at_level:
-            edges.append((("v", u), ("v", v), {key: 1.0}))
-    for tri in range(len(s.triangles)):
+    # only triangles whose f extent contains c meet the singular level
+    tables = level_tables(s)
+    near = np.flatnonzero((tables.fmin <= c) & (tables.fmax >= c)).tolist()
+    at_level = set(np.flatnonzero(s.f == c).tolist())
+    level_keys: set[EdgeKey] = set()
+    chords = []
+    for tri in near:
         verts = [int(x) for x in s.triangles[tri]]
         on = [x for x in verts if x in at_level]
+        level_keys.update(
+            edge_key(verts[i], verts[(i + 1) % 3])
+            for i in range(3)
+            if verts[i] in at_level and verts[(i + 1) % 3] in at_level
+        )
         if len(on) == 1:
             others = [x for x in verts if x not in at_level]
             key = edge_key(others[0], others[1])
             if (s.f[others[0]] - c) * (s.f[others[1]] - c) < 0:
                 lam_p = {on[0]: 1.0}
                 lam_q = _bary_of_crossing(s, tri, key, c)
-                edges.append(
+                chords.append(
                     (("v", on[0]), ("x", key), _chord_coeffs(s, tri, lam_p, lam_q))
                 )
         elif len(on) == 0:
@@ -491,9 +495,13 @@ def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTr
             if len(crossed) == 2:
                 lam_p = _bary_of_crossing(s, tri, crossed[0], c)
                 lam_q = _bary_of_crossing(s, tri, crossed[1], c)
-                edges.append(
+                chords.append(
                     (("x", crossed[0]), ("x", crossed[1]), _chord_coeffs(s, tri, lam_p, lam_q))
                 )
+    edges: list[tuple[Node, Node, dict[EdgeKey, float]]] = [
+        (("v", u), ("v", v), {(u, v): 1.0}) for u, v in sorted(level_keys)
+    ]
+    edges.extend(chords)
 
     # component containing the critical vertex
     adj: dict[Node, list[int]] = {}

@@ -9,6 +9,7 @@ usage or data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -194,7 +195,9 @@ def cmd_fuzz(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="reeb-orbit",
         description="Measured Reeb graph and orbit invariants of fields on surfaces",

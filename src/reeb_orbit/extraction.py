@@ -212,8 +212,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
         lo = band_values[j - 1] if j >= 1 else -math.inf
         hi = band_values[j] if j <= m - 2 else math.inf
         slab = slab_triangle_components(s, lo, hi)
-        star = s.vertex_tris[crit_idx[j]]
-        event_root = slab[star[0]]
+        event_root = slab[int(s.star_tri[crit_idx[j]])]
         groups: dict[int, tuple[list[int], list[int]]] = {}
         if j >= 1:
             for ci, comp in enumerate(band_components[j - 1]):
@@ -470,7 +469,7 @@ def cyclic_order(
     lo_val = pick_regular_value(v.f - eff, v.f, all_f)
     hi_val = pick_regular_value(v.f, v.f + eff, all_f)
     slab = slab_triangle_components(s, lo_val, hi_val)
-    event_root = slab[s.vertex_tris[ctx.critical_vertices[j]][0]]
+    event_root = slab[int(s.star_tri[ctx.critical_vertices[j]])]
 
     def lid_level(t: float) -> LidLevel:
         comps = trace_level(s, t)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import LevelOnVertex, TopologyError
-from .surface import EdgeKey, PLSurface, edge_key
+from .surface import EdgeKey, PLSurface, edge_key, min_labels
 
 
 class DSU:
@@ -70,13 +70,6 @@ class LevelComponent:
     t: float
     chords: list[Chord]
     is_circle: bool
-
-    def crossing_keys(self) -> list[EdgeKey]:
-        keys = [self.chords[0].entry]
-        keys.extend(c.exit for c in self.chords)
-        if self.is_circle:
-            keys.pop()
-        return keys
 
     def triangles(self) -> list[int]:
         return [c.tri for c in self.chords]
@@ -208,30 +201,6 @@ def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
     return components
 
 
-def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest node index in the component of each of n nodes joined by
-    the edges (a[i], b[i]).
-
-    Each round hooks the larger of two differing root labels onto the
-    smaller one, then jumps pointers until every label is a root.  Labels
-    only decrease, so no cycle forms, and the smallest index of a component
-    is a root that nothing can hook, so it ends as the component's label.
-    """
-    label = np.arange(n)
-    while True:
-        la, lb = label[a], label[b]
-        differ = la != lb
-        if not differ.any():
-            return label
-        la, lb = la[differ], lb[differ]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-
-
 def slab_triangle_components(
     s: PLSurface, lo: float, hi: float
 ) -> dict[int, int]:
@@ -245,7 +214,7 @@ def slab_triangle_components(
     member = (tables.fmin < hi) & (tables.fmax > lo) & (tables.fmin < tables.fmax)
     a, b = tables.adj[:, 0], tables.adj[:, 1]
     linked = (tables.adj_fmin < hi) & (tables.adj_fmax > lo) & member[a] & member[b]
-    label = _min_labels(len(member), a[linked], b[linked])
+    label = min_labels(len(member), a[linked], b[linked])
     members = np.flatnonzero(member)
     return dict(zip(members.tolist(), label[members].tolist()))
 

@@ -243,7 +243,3 @@ class MeasuredReebGraph:
                     stack.append(w)
         if len(seen) != len(self.vertices):
             raise InvalidGraph("graph is disconnected")
-
-
-def expected_incidence(vtype: str, orientation: str) -> tuple[int, int, int, int]:
-    return _INCIDENCE[(vtype, orientation)]

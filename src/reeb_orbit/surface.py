@@ -28,6 +28,30 @@ def edge_key(u: int, v: int) -> EdgeKey:
     return (u, v) if u < v else (v, u)
 
 
+def min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest node index in the component of each of n nodes joined by
+    the edges (a[i], b[i]).
+
+    Each round hooks the larger of two differing root labels onto the
+    smaller one, then jumps pointers until every label is a root.  Labels
+    only decrease, so no cycle forms, and the smallest index of a component
+    is a root that nothing can hook, so it ends as the component's label.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        la, lb = la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 @dataclass
 class PLSurface:
     """Oriented triangle mesh with field values and per-face area weights.
@@ -73,98 +97,29 @@ class PLSurface:
             raise ParseError("one area weight per triangle required")
         if not np.all(np.isfinite(self.areas)) or np.any(self.areas <= 0.0):
             raise DataError("triangle areas must be positive and finite")
-        for tri in self.triangles:
-            if len(set(int(x) for x in tri)) != 3:
-                raise TopologyError(f"degenerate triangle {tri.tolist()}")
+        a, b, c = self.triangles.T
+        degenerate = (a == b) | (b == c) | (c == a)
+        if degenerate.any():
+            tri = self.triangles[degenerate.argmax()]
+            raise TopologyError(f"degenerate triangle {tri.tolist()}")
 
     def _build_incidence(self) -> None:
-        edge_tris: dict[EdgeKey, list[int]] = {}
-        directed_seen: dict[EdgeKey, list[int]] = {}
-        for t, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                k = edge_key(int(u), int(v))
-                edge_tris.setdefault(k, []).append(t)
-                directed_seen.setdefault(k, []).append(1 if u < v else -1)
-        for k, ts in edge_tris.items():
-            if len(ts) > 2:
-                raise TopologyError(f"edge {k} shared by {len(ts)} triangles")
-            if len(ts) == 2 and directed_seen[k][0] == directed_seen[k][1]:
-                raise TopologyError(f"inconsistent orientation across edge {k}")
-        self.edge_tris = edge_tris
-        self.boundary_edge_keys = {k for k, ts in edge_tris.items() if len(ts) == 1}
-
-        self.vertex_tris: list[list[int]] = [[] for _ in self.vertex_ids]
-        for t, tri in enumerate(self.triangles):
-            for v in tri:
-                self.vertex_tris[int(v)].append(t)
-
-        self.on_boundary = np.zeros(len(self.vertex_ids), dtype=bool)
-        for u, v in self.boundary_edge_keys:
-            self.on_boundary[u] = True
-            self.on_boundary[v] = True
-
-        self._check_connected()
-        self.boundary_polygons = self._trace_boundary_polygons()
+        nv = len(self.vertex_ids)
+        edges, boundary, self.star_tri = _half_edge_incidence(self.triangles, nv)
+        self.on_boundary = np.zeros(nv, dtype=bool)
+        self.on_boundary[boundary[:, 0]] = True
+        self.boundary_polygons = _boundary_polygons(nv, boundary)
+        # the dict is built once the array temporaries are gone, from column
+        # lists, with one int object per triangle index (peak RSS)
+        tris = list(range(len(self.triangles)))
+        self.edge_tris = {
+            (u, v): [tris[a]] if b < 0 else [tris[a], tris[b]]
+            for u, v, a, b in zip(*(column.tolist() for column in edges.T))
+        }
+        self.boundary_edge_keys = set(map(tuple, np.sort(boundary, axis=1).tolist()))
         self.total_area = float(math.fsum(self.areas.tolist()))
         self._id_of_index = list(self.vertex_ids)
-        self._index_of_id = {vid: i for i, vid in enumerate(self.vertex_ids)}
-
-    def _check_connected(self) -> None:
-        nv = len(self.vertex_ids)
-        if nv == 0:
-            raise TopologyError("empty mesh")
-        adj: list[list[int]] = [[] for _ in range(nv)]
-        for u, v in self.edge_tris:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * nv
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not all(seen):
-            raise TopologyError("1-skeleton is disconnected")
-
-    def _trace_boundary_polygons(self) -> list[list[tuple[int, int]]]:
-        """Boundary polygons as closed chains of directed edges.
-
-        Each boundary edge is directed as its unique owning triangle traverses
-        it, which puts the surface on the left; chaining successors yields the
-        induced boundary orientation.
-        """
-        directed: dict[int, tuple[int, int]] = {}
-        for u, v in sorted(self.boundary_edge_keys):
-            t = self.edge_tris[(u, v)][0]
-            a, b, c = (int(x) for x in self.triangles[t])
-            for s, e in ((a, b), (b, c), (c, a)):
-                if edge_key(s, e) == (u, v):
-                    if s in directed:
-                        raise TopologyError(
-                            f"boundary is not a union of simple polygons at vertex {s}"
-                        )
-                    directed[s] = (s, e)
-        polygons: list[list[tuple[int, int]]] = []
-        used: set[int] = set()
-        for start in sorted(directed):
-            if start in used:
-                continue
-            chain = []
-            u = start
-            while True:
-                used.add(u)
-                du = directed.get(u)
-                if du is None:
-                    raise TopologyError("boundary chain does not close")
-                chain.append(du)
-                u = du[1]
-                if u == start:
-                    break
-            polygons.append(chain)
-        return polygons
+        self._index_of_id = dict(zip(self.vertex_ids, range(nv)))
 
     # -- convenience ----------------------------------------------------------
 
@@ -173,52 +128,6 @@ class PLSurface:
 
     def id_of(self, index: int) -> int:
         return self._id_of_index[index]
-
-    def above(self, u: int, v: int) -> bool:
-        """Whether vertex u is above vertex v, ties broken by index."""
-        if self.f[u] != self.f[v]:
-            return bool(self.f[u] > self.f[v])
-        return u > v
-
-    def link_path(self, v: int) -> tuple[list[int], bool]:
-        """Link of v as an ordered vertex sequence.
-
-        Returns (sequence, closed).  For an interior vertex the sequence is a
-        cycle (first element not repeated); for a boundary vertex it is a path
-        whose two endpoints are the boundary neighbours of v.
-        """
-        arcs: dict[int, int] = {}
-        for t in self.vertex_tris[v]:
-            a, b, c = (int(x) for x in self.triangles[t])
-            if a == v:
-                s, e = b, c
-            elif b == v:
-                s, e = c, a
-            else:
-                s, e = a, b
-            if s in arcs:
-                raise TopologyError(f"non-manifold star at vertex {v}")
-            arcs[s] = e
-        if not arcs:
-            raise TopologyError(f"isolated vertex {v}")
-        sources = set(arcs) - set(arcs.values())
-        if not sources:
-            start = min(arcs)
-            seq = [start]
-            cur = arcs[start]
-            while cur != start:
-                seq.append(cur)
-                cur = arcs[cur]
-            return seq, True
-        if len(sources) != 1:
-            raise TopologyError(f"non-manifold star at vertex {v}")
-        start = sources.pop()
-        seq = [start]
-        cur = start
-        while cur in arcs:
-            cur = arcs[cur]
-            seq.append(cur)
-        return seq, False
 
     def to_dict(self) -> dict[str, Any]:
         verts = []
@@ -232,6 +141,99 @@ class PLSurface:
             for tri, area in zip(self.triangles, self.areas)
         ]
         return {"vertices": verts, "triangles": tris}
+
+
+def _half_edge_incidence(
+    triangles: np.ndarray, nv: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a triangle array as an oriented connected surface and derive its
+    incidence from one table of half-edges.
+
+    Half-edge 3t+i runs from corner i to corner i+1 of triangle t.  Sorted by
+    undirected key, the sides of each mesh edge sit next to each other, in
+    triangle order.  Returns the mesh edges in order of first appearance as
+    rows (u, v, first triangle, second triangle or -1), the boundary edges in
+    key order, each directed as its triangle traverses it (which puts the
+    surface on the left), and the smallest triangle of each vertex's star.
+    """
+    # 32-bit vertex indices halve the temporaries (peak RSS); keys need 64
+    src = triangles.astype(np.int32).ravel()
+    dst = src.reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    key = lo.astype(np.int64) * nv + hi
+    order = np.argsort(key, kind="stable")
+    start = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sides = np.diff(start, append=len(order))
+    first = order[start]
+    second = order[np.minimum(start + 1, len(order) - 1)]
+    same_way = (src[first] < dst[first]) == (src[second] < dst[second])
+    bad = np.flatnonzero((sides > 2) | ((sides == 2) & same_way))
+    if bad.size:
+        e = bad[first[bad].argmin()]
+        k = (int(lo[first[e]]), int(hi[first[e]]))
+        if sides[e] > 2:
+            raise TopologyError(f"edge {k} shared by {int(sides[e])} triangles")
+        raise TopologyError(f"inconsistent orientation across edge {k}")
+
+    if nv == 0:
+        raise TopologyError("empty mesh")
+    ends = np.stack([lo[first], hi[first]], axis=1)
+    if min_labels(nv, ends[:, 0], ends[:, 1]).any():
+        raise TopologyError("1-skeleton is disconnected")
+
+    boundary = np.stack([src, dst], axis=1)[first[sides == 1]]
+    later = np.argsort(boundary[:, 0], kind="stable")
+    repeated = later[1:][boundary[later[1:], 0] == boundary[later[:-1], 0]]
+    if repeated.size:
+        v = int(boundary[repeated.min(), 0])
+        raise TopologyError(f"boundary is not a union of simple polygons at vertex {v}")
+
+    # link nodes are edge ends (2e for the lower vertex of edge e, 2e+1 for
+    # the upper); the corner at src[h] joins the ends, at that vertex, of
+    # half-edge h and of the half-edge before it in its triangle
+    edge_of = np.empty(len(order), dtype=int)
+    edge_of[order] = np.repeat(np.arange(len(start)), sides)
+    before = np.arange(len(order)).reshape(-1, 3)[:, [2, 0, 1]].ravel()
+    link = min_labels(
+        2 * len(start),
+        2 * edge_of + (src > dst),
+        2 * edge_of[before] + (dst[before] > src[before]),
+    )
+    star_parts = np.bincount(ends.ravel()[link == np.arange(len(link))], minlength=nv)
+    if np.any(star_parts != 1):
+        v = int(np.argmax(star_parts != 1))
+        if star_parts[v] == 0:
+            raise TopologyError(f"isolated vertex {v}")
+        raise TopologyError(f"non-manifold star at vertex {v}")
+
+    listed = np.argsort(first)
+    edges = np.column_stack(
+        [ends[listed], first[listed] // 3, np.where(sides == 2, second // 3, -1)[listed]]
+    )
+    star_tri = np.unique(src, return_index=True)[1] // 3
+    return edges, boundary, star_tri
+
+
+def _boundary_polygons(nv: int, boundary: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Closed chains of the directed boundary edges, each starting at its
+    smallest vertex, in order of that vertex.
+
+    Every vertex has as many boundary edges in as out, and at most one out,
+    so the boundary falls into disjoint simple cycles.
+    """
+    succ = [-1] * nv
+    for u, v in boundary.tolist():
+        succ[u] = v
+    polygons = []
+    for start in sorted(boundary[:, 0].tolist()):
+        chain = []
+        u = start
+        while succ[u] >= 0:
+            chain.append((u, succ[u]))
+            succ[u], u = -1, succ[u]
+        if chain:
+            polygons.append(chain)
+    return polygons
 
 
 # -- validation ---------------------------------------------------------------
@@ -271,12 +273,9 @@ class ValidationReport:
         }
 
 
-def _sign_changes(signs: list[int], closed: bool) -> int:
-    n = len(signs)
-    if n < 2:
-        return 0
-    pairs = range(n) if closed else range(n - 1)
-    return sum(1 for i in pairs if signs[i] != signs[(i + 1) % n])
+def _above(f: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether vertex u is above vertex v, ties broken by index."""
+    return (f[u] > f[v]) | ((f[u] == f[v]) & (u > v))
 
 
 def validate_simple_morse(s: PLSurface) -> ValidationReport:
@@ -292,31 +291,44 @@ def validate_simple_morse(s: PLSurface) -> ValidationReport:
     criticals: list[CriticalPoint] = []
     violations: list[Violation] = []
 
-    for t, tri in enumerate(s.triangles):
-        a, b, c = (int(x) for x in tri)
-        if s.f[a] == s.f[b] == s.f[c]:
-            violations.append(
-                Violation(
-                    "FLAT_TRIANGLE",
-                    tuple(sorted(s.id_of(v) for v in (a, b, c))),
-                    f"triangle {t} has zero field extent; its area has no "
-                    "regular level to carry it",
-                )
+    tri_f = s.f[s.triangles]
+    flat = (tri_f[:, 0] == tri_f[:, 1]) & (tri_f[:, 1] == tri_f[:, 2])
+    for t in np.flatnonzero(flat).tolist():
+        violations.append(
+            Violation(
+                "FLAT_TRIANGLE",
+                tuple(sorted(s.id_of(v) for v in s.triangles[t].tolist())),
+                f"triangle {t} has zero field extent; its area has no "
+                "regular level to carry it",
             )
+        )
 
-    for v in range(len(s.vertex_ids)):
-        seq, closed = s.link_path(v)
-        signs = [1 if s.above(u, v) else -1 for u in seq]
-        sc = _sign_changes(signs, closed)
-        vid = s.id_of(v)
-        if closed:
+    # corner (v; a, b) of a triangle is the step a -> b of v's link
+    nv = len(s.vertex_ids)
+    v = s.triangles.ravel()
+    a = s.triangles[:, [1, 2, 0]].ravel()
+    b = s.triangles[:, [2, 0, 1]].ravel()
+    changes = np.bincount(v[_above(s.f, a, v) != _above(s.f, b, v)], minlength=nv)
+    # the first link neighbour: the successor along the boundary polygon for a
+    # boundary vertex, any neighbour for an interior one (read only when all
+    # neighbours lie on one side)
+    first = np.empty(nv, dtype=int)
+    first[v] = a
+    steps = [d for chain in s.boundary_polygons for d in chain]
+    steps = np.array(steps, dtype=int).reshape(-1, 2)
+    first[steps[:, 0]] = steps[:, 1]
+    up = _above(s.f, first, np.arange(nv))
+    irregular = np.flatnonzero(changes != np.where(s.on_boundary, 1, 2))
+
+    for i in irregular.tolist():
+        sc = int(changes[i])
+        vid = s.id_of(i)
+        if not s.on_boundary[i]:
             if sc == 0:
-                kind = "min" if signs[0] > 0 else "max"
-                criticals.append(CriticalPoint(vid, kind, float(s.f[v])))
-            elif sc == 2:
-                pass
+                kind = "min" if up[i] else "max"
+                criticals.append(CriticalPoint(vid, kind, float(s.f[i])))
             elif sc == 4:
-                criticals.append(CriticalPoint(vid, "saddle", float(s.f[v])))
+                criticals.append(CriticalPoint(vid, "saddle", float(s.f[i])))
             else:
                 violations.append(
                     Violation(
@@ -325,29 +337,26 @@ def validate_simple_morse(s: PLSurface) -> ValidationReport:
                         f"interior vertex {vid} has {sc} link sign changes",
                     )
                 )
+        elif sc in (0, 2):
+            kind = "boundary-min" if up[i] else "boundary-max"
+            criticals.append(CriticalPoint(vid, kind, float(s.f[i])))
+        elif sc % 2 == 1:
+            violations.append(
+                Violation(
+                    "BOUNDARY_CRITICAL",
+                    (vid,),
+                    f"field has a critical point on the boundary at {vid} "
+                    f"({sc} link sign changes)",
+                )
+            )
         else:
-            if sc == 1:
-                continue
-            if sc in (0, 2):
-                kind = "boundary-min" if signs[0] > 0 else "boundary-max"
-                criticals.append(CriticalPoint(vid, kind, float(s.f[v])))
-            elif sc % 2 == 1:
-                violations.append(
-                    Violation(
-                        "BOUNDARY_CRITICAL",
-                        (vid,),
-                        f"field has a critical point on the boundary at {vid} "
-                        f"({sc} link sign changes)",
-                    )
+            violations.append(
+                Violation(
+                    "DEGENERATE_CRITICAL",
+                    (vid,),
+                    f"boundary vertex {vid} has {sc} link sign changes",
                 )
-            else:
-                violations.append(
-                    Violation(
-                        "DEGENERATE_CRITICAL",
-                        (vid,),
-                        f"boundary vertex {vid} has {sc} link sign changes",
-                    )
-                )
+            )
 
     by_value: dict[float, list[int]] = {}
     for c in criticals:

@@ -231,6 +231,30 @@ def test_one_coordinate_xy_exits_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "ParseError"
 
 
+def test_pinched_vertex_exits_2(capsys, tmp_path):
+    # vertex 1 is the centre of two closed fans, one above it and one below
+    upper, lower = [2, 3, 4, 5, 6], [7, 8, 9, 10, 11]
+    doc = {
+        "vertices": [{"id": 1, "f": 0.0}]
+        + [{"id": v, "f": 1.0 + 0.01 * k} for k, v in enumerate(upper)]
+        + [{"id": v, "f": -1.0 - 0.01 * k} for k, v in enumerate(lower)],
+        "triangles": [
+            {"v": [1, rim[k], rim[(k + 1) % 5]], "area": 1.0}
+            for rim in (upper, lower)
+            for k in range(5)
+        ],
+    }
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["extract", str(path), "--samples", "12"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "TopologyError",
+            "message": "non-manifold star at vertex 0",
+        }
+
+
 def test_extract_payload_byte_identical(capsys):
     _, out1, _ = run(capsys, "extract", str(DATA / "disk_linear.json"), "--samples", "8")
     _, out2, _ = run(capsys, "extract", str(DATA / "disk_linear.json"), "--samples", "8")
