@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, written to ``BENCH_<pr>.json``.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --pr N
+
+PARENT and CHANGE are two checkouts of the repository (for example the
+parent commit unpacked with ``git archive`` and the working tree).  For each
+workload named in CHANGE's ``BENCHMARK.json`` the script runs
+``benchmark/run.py`` in both checkouts, for that file's ``run_seconds`` and
+with ``run.py``'s default seed, one after the other, ``--pairs`` times
+(default 10, the fewest pairs a claimed gain is judged on); the side that
+goes first alternates from pair to pair, so that a drift in machine speed
+does not favour either side.  Each run's last line of
+standard output is its result JSON.  The output file holds every pair's
+end-to-end metrics, the per-side medians and quartiles, the number of pairs
+in which the change did better, and the machine (CPUs, Python, numpy,
+scipy).  It is written to CHANGE.
+
+Standard library only; the runs use this interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from importlib import metadata
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+    """One untraced benchmark run; returns its result JSON."""
+    argv = [sys.executable, "benchmark/run.py", "--workload", workload,
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout.name}: {' '.join(argv[1:])} exited {proc.returncode}\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def machine() -> dict:
+    def version(pkg: str) -> str | None:
+        try:
+            return metadata.version(pkg)
+        except metadata.PackageNotFoundError:
+            return None
+
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "scipy": version("scipy"),
+    }
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per-side medians and quartiles and, per metric, how many pairs the
+    change won (ties count for neither side)."""
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        higher = m["better"] == "higher"
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
+        medians = {side: statistics.median(v) for side, v in values.items()}
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "median": medians,
+            "quartiles": {
+                side: statistics.quantiles(v, n=4, method="inclusive")[::2]
+                for side, v in values.items()
+            },
+            "change_over_parent": medians["change"] / medians["parent"],
+            "pairs_change_better": wins,
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    doc = {
+        "pr": args.pr,
+        "seconds": seconds,
+        "pairs_per_workload": args.pairs,
+        "machine": machine(),
+        "workloads": {},
+    }
+    for workload in (w["name"] for w in spec["workloads"]):
+        pairs = []
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"first": order[0]}
+            for side in order:
+                start = time.perf_counter()
+                result = run_once(checkouts[side], workload, seconds)
+                pair[side] = result
+                values = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+                print(f"{workload} pair {i + 1}/{args.pairs} {side}: {values} "
+                      f"({time.perf_counter() - start:.0f} s)", file=sys.stderr, flush=True)
+            pairs.append(pair)
+        doc["workloads"][workload] = {
+            "pairs": pairs,
+            "summary": summarize(pairs, spec["end_to_end"]),
+        }
+
+    out = args.change / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -76,9 +76,10 @@ def cmd_invariants(args) -> int:
             "error": type(exc).__name__,
             "value": graph_core.genus_formula_value(g),
         }
+    b = graph_core.sigma(g)
     payload = {
-        "sigma": graph_core.sigma(g),
-        "genus_realize": graph_core.genus(g, method="realize"),
+        "sigma": b,
+        "genus_realize": graph_core.handle_genus(g, b),
         "genus_formula": formula,
         "homology": dims.to_dict(),
         "total_mass": g.total_mass,

@@ -5,6 +5,33 @@ with a recorded cyclic order the walk leaves along the cyclic successor of
 the arriving edge, at a single dashed edge it bounces, at exactly two dashed
 edges it crosses.  The walk states (edge, travel direction) split into
 disjoint orbits, one per boundary component of any realizing surface.
+
+The genus is read off the graph by a handle count.  Sweeping the field
+upwards, the sublevel set changes only at the critical levels, and each
+vertex changes its Euler characteristic by the handle it attaches (Milnor,
+*Morse Theory*, 1963; for boundary critical points Braess, Math. Ann. 1974):
+
+    =======  =============  ==========  ===================================
+    type     as-in-table    f-reversed  handle
+    =======  =============  ==========  ===================================
+    VII      +1             +1          a disk is born (minimum) or caps a
+                                        circle (maximum)
+    IV       -1             -1          interior saddle: a band
+    V        -1             -1          interior saddle: a band
+    VI       -1             -1          interior saddle: a band
+    I        +1              0          boundary extremum: a half-disk is
+                                        born; reversed, it is glued along
+                                        one arc
+    II       -1              0          boundary saddle: a half-disk glued
+                                        along two arcs; reversed, one arc
+    III      -1              0          boundary saddle, as for II
+    =======  =============  ==========  ===================================
+
+A boundary critical point changes the homotopy type of the sublevel set only
+where the gradient points into the surface (the ``as-in-table`` column).
+Otherwise a half-disk is glued along one arc of its boundary, which adds
+1 - 1 = 0.  The sum is chi, and a connected orientable surface with sigma
+boundary components has genus (2 - chi - sigma) / 2.
 """
 
 from __future__ import annotations
@@ -13,9 +40,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NonIntegerFormulaValue
+from .errors import InvalidGraph, NonIntegerFormulaValue, TopologyError
 from .levels import DSU
-from .reebgraph import MeasuredReebGraph
+from .reebgraph import AS_IN_TABLE, MeasuredReebGraph
 from .surface import TopologySummary
 
 
@@ -168,11 +195,63 @@ def homology_dims(g: MeasuredReebGraph) -> HomologyDims:
     return HomologyDims(h1_gamma, h1_dashed, h1_rel, h0_dashed, h0_solid, h0_inter)
 
 
+# Euler characteristic each vertex type adds to the sublevel set, as
+# (as-in-table, f-reversed); see the module docstring
+_HANDLE_CHI = {
+    "I": (1, 0),
+    "II": (-1, 0),
+    "III": (-1, 0),
+    "IV": (-1, -1),
+    "V": (-1, -1),
+    "VI": (-1, -1),
+    "VII": (1, 1),
+}
+
+
+def iv_order(g: MeasuredReebGraph, vid: int) -> list[int]:
+    """Cyclic order at a IV vertex, rotated to start at the smallest in-edge.
+
+    Realizable orders alternate incoming and outgoing dashed edges; a surface
+    slab boundary meets bottom and top lids alternately, so non-alternating
+    orders admit no realization.
+    """
+    order = list(g.cyclic_orders[vid])
+    ins = sorted(e.id for e in g.dashed_edges_at(vid) if e.head == vid)
+    k = order.index(ins[0])
+    order = order[k:] + order[:k]
+    flags = [g.edge(eid).head == vid for eid in order]
+    if flags != [True, False, True, False]:
+        raise InvalidGraph(
+            f"vertex {vid}: cyclic order does not alternate below/above edges; "
+            "no surface realizes it"
+        )
+    return order
+
+
+def handle_genus(g: MeasuredReebGraph, b: int) -> int:
+    """Genus of a validated graph with ``b = sigma(g)``, by the handle count.
+
+    Checks every IV order first, in vertex id order, so that it rejects the
+    graphs realization rejects, with the same message.
+    """
+    for v in sorted(g.vertices, key=lambda v: v.id):
+        if v.vtype == "IV":
+            iv_order(g, v.id)
+    chi = sum(_HANDLE_CHI[v.vtype][v.orientation != AS_IN_TABLE] for v in g.vertices)
+    two_g = 2 - chi - b
+    if two_g < 0 or two_g % 2 != 0:
+        raise TopologyError(f"chi={chi}, b={b} is not an orientable surface")
+    return two_g // 2
+
+
 def genus(g: MeasuredReebGraph, method: str = "realize") -> int:
     """Genus of the realizing surface.
 
     ``realize`` builds a surface and reads the genus off its topology, which
-    is convention-free.  ``formula`` evaluates the closed formula with plain
+    is convention-free.  ``handles`` gives the same value from the graph
+    alone: it rejects what realization rejects (an invalid graph, a
+    non-alternating IV order), then sums the handle table of the module
+    docstring to chi (see ``handle_genus``).  ``formula`` evaluates the closed formula with plain
     Euler characteristics and component counts; on several fixtures this
     yields non-integer or off-by-one values and is kept as a diagnostic only.
     """
@@ -180,6 +259,9 @@ def genus(g: MeasuredReebGraph, method: str = "realize") -> int:
         from .realization import surface_of
 
         return surface_of(g).genus
+    if method == "handles":
+        g.validate()
+        return handle_genus(g, sigma(g))
     if method == "formula":
         value = genus_formula_value(g)
         if abs(value - round(value)) > 1e-9:
@@ -224,9 +306,11 @@ def compatibility(
     measure against total area.
     """
     failures = []
-    if genus(g) != t.genus:
+    g.validate()
+    b = sigma(g)
+    if handle_genus(g, b) != t.genus:
         failures.append("genus")
-    if sigma(g) != t.boundary_component_count:
+    if b != t.boundary_component_count:
         failures.append("boundary_components")
     if not math.isclose(g.total_mass, t.total_area, rel_tol=rel_tol, abs_tol=0.0):
         failures.append("total_measure")

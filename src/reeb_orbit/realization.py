@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidGraph
+from .graph_core import iv_order
 from .reebgraph import AS_IN_TABLE, MeasuredReebGraph, ReebEdge
 from .surface import PLSurface, TopologySummary, topology_summary
 
@@ -118,26 +119,6 @@ def _effective_grid(edge: ReebEdge) -> tuple[np.ndarray, np.ndarray]:
         grid = np.array([grid[0], mid, grid[-1]])
         bands = np.array([bands[0] / 2.0, bands[0] / 2.0])
     return grid, bands
-
-
-def _check_iv_order(g: MeasuredReebGraph, vid: int) -> list[int]:
-    """Cyclic order at a IV vertex, rotated to start at the smallest in-edge.
-
-    Realizable orders alternate incoming and outgoing dashed edges; a surface
-    slab boundary meets bottom and top lids alternately, so non-alternating
-    orders admit no realization.
-    """
-    order = list(g.cyclic_orders[vid])
-    ins = sorted(e.id for e in g.dashed_edges_at(vid) if e.head == vid)
-    k = order.index(ins[0])
-    order = order[k:] + order[:k]
-    flags = [g.edge(eid).head == vid for eid in order]
-    if flags != [True, False, True, False]:
-        raise InvalidGraph(
-            f"vertex {vid}: cyclic order does not alternate below/above edges; "
-            "no surface realizes it"
-        )
-    return order
 
 
 def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
@@ -244,7 +225,7 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
                 ports[(succ, "tail")] = (_SLOTS, [w, lb])
         elif v.vtype == "IV":
             w = new(0.0)
-            order = _check_iv_order(g, v.id)
+            order = iv_order(g, v.id)
             l01 = new(2.0)
             l12 = new(3.0)
             l23 = new(-2.0)

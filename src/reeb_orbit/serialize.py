@@ -45,8 +45,9 @@ def graph_from_dict(doc: dict[str, Any]) -> MeasuredReebGraph:
             cum = np.asarray([float(c) for c in e["cumulative"]])
             profile = MeasureProfile(vf[int(e["tail"])], vf[int(e["head"])], cum)
             edge = ReebEdge(int(e["id"]), int(e["tail"]), int(e["head"]), str(e["style"]), profile)
-            # "not <=" rejects a NaN on either side too
-            if "mass" in e and not abs(float(e["mass"]) - edge.mass) <= 1e-9 * abs(edge.mass):
+            # "not <=" rejects a NaN on either side too; an empty profile has
+            # no mass to compare, and validate() rejects it
+            if "mass" in e and cum.size and not abs(float(e["mass"]) - edge.mass) <= 1e-9 * abs(edge.mass):
                 raise DataError(
                     f"edge {edge.id}: stated mass {e['mass']!r} differs from its profile's "
                     f"{edge.mass!r}"

@@ -101,11 +101,13 @@ class PLSurface:
         degenerate = (a == b) | (b == c) | (c == a)
         if degenerate.any():
             tri = self.triangles[degenerate.argmax()]
-            raise TopologyError(f"degenerate triangle {tri.tolist()}")
+            raise TopologyError(
+                f"degenerate triangle {[int(self.vertex_ids[i]) for i in tri.tolist()]}"
+            )
 
     def _build_incidence(self) -> None:
         nv = len(self.vertex_ids)
-        edges, boundary, self.star_tri = _half_edge_incidence(self.triangles, nv)
+        edges, boundary, self.star_tri = _half_edge_incidence(self.triangles, self.vertex_ids)
         self.on_boundary = np.zeros(nv, dtype=bool)
         self.on_boundary[boundary[:, 0]] = True
         self.boundary_polygons = _boundary_polygons(nv, boundary)
@@ -144,7 +146,7 @@ class PLSurface:
 
 
 def _half_edge_incidence(
-    triangles: np.ndarray, nv: int
+    triangles: np.ndarray, ids: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check a triangle array as an oriented connected surface and derive its
     incidence from one table of half-edges.
@@ -155,7 +157,9 @@ def _half_edge_incidence(
     rows (u, v, first triangle, second triangle or -1), the boundary edges in
     key order, each directed as its triangle traverses it (which puts the
     surface on the left), and the smallest triangle of each vertex's star.
+    Errors name vertices by their ids in ``ids``.
     """
+    nv = len(ids)
     # 32-bit vertex indices halve the temporaries (peak RSS); keys need 64
     src = triangles.astype(np.int32).ravel()
     dst = src.reshape(-1, 3)[:, [1, 2, 0]].ravel()
@@ -170,7 +174,7 @@ def _half_edge_incidence(
     bad = np.flatnonzero((sides > 2) | ((sides == 2) & same_way))
     if bad.size:
         e = bad[first[bad].argmin()]
-        k = (int(lo[first[e]]), int(hi[first[e]]))
+        k = edge_key(int(ids[lo[first[e]]]), int(ids[hi[first[e]]]))
         if sides[e] > 2:
             raise TopologyError(f"edge {k} shared by {int(sides[e])} triangles")
         raise TopologyError(f"inconsistent orientation across edge {k}")
@@ -185,7 +189,7 @@ def _half_edge_incidence(
     later = np.argsort(boundary[:, 0], kind="stable")
     repeated = later[1:][boundary[later[1:], 0] == boundary[later[:-1], 0]]
     if repeated.size:
-        v = int(boundary[repeated.min(), 0])
+        v = ids[boundary[repeated.min(), 0]]
         raise TopologyError(f"boundary is not a union of simple polygons at vertex {v}")
 
     # link nodes are edge ends (2e for the lower vertex of edge e, 2e+1 for
@@ -203,8 +207,8 @@ def _half_edge_incidence(
     if np.any(star_parts != 1):
         v = int(np.argmax(star_parts != 1))
         if star_parts[v] == 0:
-            raise TopologyError(f"isolated vertex {v}")
-        raise TopologyError(f"non-manifold star at vertex {v}")
+            raise TopologyError(f"isolated vertex {ids[v]}")
+        raise TopologyError(f"non-manifold star at vertex {ids[v]}")
 
     listed = np.argsort(first)
     edges = np.column_stack(
@@ -426,6 +430,8 @@ def load_mesh(source: Any) -> PLSurface:
             raise ParseError(f"invalid mesh JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc or "triangles" not in doc:
         raise ParseError("mesh JSON must contain 'vertices' and 'triangles'")
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["triangles"], list):
+        raise ParseError("mesh JSON 'vertices' and 'triangles' must be lists")
 
     ids: list[int] = []
     fvals: list[float] = []

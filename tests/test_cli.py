@@ -231,6 +231,61 @@ def test_one_coordinate_xy_exits_2(capsys, tmp_path):
     assert json.loads(out)["error"] == "ParseError"
 
 
+def test_empty_cumulative_exits_2(capsys, tmp_path):
+    # the stated-mass check used to read the last sample of an empty profile
+    path = _edited_copy(tmp_path, "fig2.json", lambda d: d["edges"][0].update(cumulative=[]))
+    for argv in (
+        ["invariants", str(path)],
+        ["circulation", "solve", str(path)],
+        ["compare", str(path), str(path)],
+        ["dot", str(path)],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out) == {
+            "error": "InvalidGraph",
+            "message": "profile needs at least two samples",
+        }
+
+
+@pytest.mark.parametrize("member", [{"vertices": True}, {"vertices": 3}, {"triangles": None}])
+def test_mesh_members_that_are_not_lists_exit_2(capsys, tmp_path, member):
+    path = _edited_copy(tmp_path, "disk_linear.json", lambda d: d.update(member))
+    for argv in (["validate", str(path)], ["extract", str(path)]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ParseError"
+
+
+def test_invariants_builds_no_surface(capsys, monkeypatch):
+    from reeb_orbit import realization
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("invariants realized a surface")
+
+    monkeypatch.setattr(realization, "realize", refuse)
+    code, out, _ = run(capsys, "invariants", str(DATA / "fig2.json"))
+    assert code == 0
+    assert json.loads(out)["genus_realize"] == 1
+
+
+def test_non_alternating_iv_order_exits_2(capsys, tmp_path):
+    from reeb_orbit.fuzz import random_measured_graph
+
+    doc = serialize.graph_to_dict(random_measured_graph(0, max_events=10))
+    a, b, c, d = doc["cyclic_orders"]["6"]
+    doc["cyclic_orders"]["6"] = [a, c, b, d]
+    path = tmp_path / "iv.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "InvalidGraph",
+        "message": "vertex 6: cyclic order does not alternate below/above edges; "
+        "no surface realizes it",
+    }
+
+
 def test_pinched_vertex_exits_2(capsys, tmp_path):
     # vertex 1 is the centre of two closed fans, one above it and one below
     upper, lower = [2, 3, 4, 5, 6], [7, 8, 9, 10, 11]
@@ -251,7 +306,7 @@ def test_pinched_vertex_exits_2(capsys, tmp_path):
         assert code == 2
         assert json.loads(out) == {
             "error": "TopologyError",
-            "message": "non-manifold star at vertex 0",
+            "message": "non-manifold star at vertex 1",
         }
 
 

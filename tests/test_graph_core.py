@@ -134,3 +134,24 @@ def test_boundary_cycles_independent_of_labels(fig4a):
     want = {c.edges for c in boundary_cycles(g2)}
     assert {frozenset(c) for c in got} == {frozenset(c) for c in want}
     assert sigma(g2) == sigma(fig4a)
+
+
+def _genus_corpus():
+    from tests.test_equivalence import height_graph
+
+    from reeb_orbit.fixtures import closed_torus_graph, fig4a_graph, fig4b_graph
+    from reeb_orbit.fuzz import random_measured_graph
+
+    for build in (fig2_graph, fig4a_graph, fig4b_graph, closed_torus_graph):
+        yield build.__name__, build()
+    for k in range(6, 13):
+        yield f"height{k}", height_graph(k)
+    for max_events in (10, 30):
+        for seed in range(50):
+            yield f"fuzz{seed}/{max_events}", random_measured_graph(seed, max_events=max_events)
+
+
+def test_handle_count_equals_realized_genus():
+    for name, g in _genus_corpus():
+        assert genus(g, method="handles") == genus(g, method="realize"), name
+

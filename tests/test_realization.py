@@ -107,8 +107,11 @@ def test_iv_order_must_alternate(pq_square):
     (vid,) = [v.id for v in g.vertices if v.vtype == "IV"]
     a, b, c, d = bad.cyclic_orders[vid]
     bad.cyclic_orders[vid] = (a, c, b, d)  # below edges adjacent: unrealizable
-    with pytest.raises(ro.InvalidGraph):
+    with pytest.raises(ro.InvalidGraph) as realized:
         realize(bad)
+    with pytest.raises(ro.InvalidGraph) as counted:
+        ro.genus(bad, method="handles")
+    assert str(counted.value) == str(realized.value)
 
 
 def test_invalid_graph_rejected(fig2):

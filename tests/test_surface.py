@@ -55,7 +55,7 @@ def test_nonmanifold_edge_rejected():
         [(1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0), (5, 4.0)],
         [((1, 2, 3), 1.0), ((2, 1, 4), 1.0), ((1, 2, 5), 1.0)],
     )
-    assert topology_error(doc) == "edge (0, 1) shared by 3 triangles"
+    assert topology_error(doc) == "edge (1, 2) shared by 3 triangles"
 
 
 def test_inconsistent_orientation_rejected():
@@ -63,7 +63,19 @@ def test_inconsistent_orientation_rejected():
         [(1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0)],
         [((1, 2, 3), 1.0), ((1, 2, 4), 1.0)],
     )
-    assert topology_error(doc) == "inconsistent orientation across edge (0, 1)"
+    assert topology_error(doc) == "inconsistent orientation across edge (1, 2)"
+
+
+def test_errors_name_input_vertex_ids():
+    # ids in descending order of position: the edge of positions 0 and 1
+    # is the edge of ids 40 and 50
+    doc = mesh_doc(
+        [(50, 0.0), (40, 1.0), (30, 2.0), (20, 3.0), (10, 4.0)],
+        [((50, 40, 30), 1.0), ((40, 50, 20), 1.0), ((50, 40, 10), 1.0)],
+    )
+    assert topology_error(doc) == "edge (40, 50) shared by 3 triangles"
+    doc = mesh_doc([(7, 0.0), (5, 1.0), (3, 2.0)], [((7, 5, 5), 1.0)])
+    assert topology_error(doc) == "degenerate triangle [7, 5, 5]"
 
 
 def test_nonpositive_area_rejected():
@@ -85,7 +97,7 @@ def test_degenerate_triangle_rejected():
         [(1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0)],
         [((1, 2, 3), 1.0), ((1, 4, 4), 1.0), ((2, 2, 4), 1.0)],
     )
-    assert topology_error(doc) == "degenerate triangle [0, 3, 3]"
+    assert topology_error(doc) == "degenerate triangle [1, 4, 4]"
 
 
 def test_bowtie_rejected():
@@ -94,11 +106,11 @@ def test_bowtie_rejected():
         [(1, 0.0), (2, 1.0), (3, 2.0), (4, 3.0), (5, 4.0)],
         [((1, 2, 3), 1.0), ((1, 4, 5), 1.0)],
     )
-    assert topology_error(doc) == "boundary is not a union of simple polygons at vertex 0"
+    assert topology_error(doc) == "boundary is not a union of simple polygons at vertex 1"
 
 
 def test_isolated_vertex_rejected():
-    assert topology_error(mesh_doc([(1, 0.0)], [])) == "isolated vertex 0"
+    assert topology_error(mesh_doc([(1, 0.0)], [])) == "isolated vertex 1"
 
 
 def pinched_doc():
@@ -112,7 +124,7 @@ def pinched_doc():
 
 
 def test_pinched_vertex_rejected():
-    assert topology_error(pinched_doc()) == "non-manifold star at vertex 0"
+    assert topology_error(pinched_doc()) == "non-manifold star at vertex 1"
 
 
 def test_icosahedron_topology():
