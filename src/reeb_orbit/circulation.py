@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -123,15 +122,24 @@ class CirculationSolveResult:
 def edge_moment(g: MeasuredReebGraph, edge: int | ReebEdge) -> float:
     """Field moment of one edge from its sampled profile."""
     e = g.edge(edge) if isinstance(edge, int) else edge
-    return e.profile.partial_moment(e.profile.f_lo, e.profile.f_hi)
+    return e.profile.moment()
 
 
 def total_moment(g: MeasuredReebGraph) -> float:
     return float(math.fsum(edge_moment(g, e) for e in g.edges))
 
 
-def _solid_only_vertices(g: MeasuredReebGraph) -> list[int]:
-    return [v.id for v in g.vertices if all(not e.dashed for e in g.edges_at(v.id))]
+def _solid_only_stars(g: MeasuredReebGraph) -> dict[int, tuple[list[ReebEdge], list[ReebEdge]]]:
+    """(in-edges, out-edges) of each vertex that touches no dashed edge, in
+    vertex order, with edges in graph order."""
+    grounded = {v for e in g.dashed_edges() for v in (e.tail, e.head)}
+    stars = {v.id: ([], []) for v in g.vertices if v.id not in grounded}
+    for e in g.edges:
+        if e.head in stars:
+            stars[e.head][0].append(e)
+        if e.tail in stars:
+            stars[e.tail][1].append(e)
+    return stars
 
 
 def check_circulation(
@@ -148,11 +156,10 @@ def check_circulation(
     for e in solids:
         t, h = c.limits[e.id]
         nl[e.id] = (h - t) - edge_moment(g, e)
-    kirchhoff = {}
-    for vid in _solid_only_vertices(g):
-        inc = math.fsum(c.limits[e.id][1] for e in g.edges_at(vid) if e.head == vid)
-        out = math.fsum(c.limits[e.id][0] for e in g.edges_at(vid) if e.tail == vid)
-        kirchhoff[vid] = inc - out
+    kirchhoff = {
+        vid: math.fsum(c.limits[e.id][1] for e in ins) - math.fsum(c.limits[e.id][0] for e in outs)
+        for vid, (ins, outs) in _solid_only_stars(g).items()
+    }
     residuals = list(nl.values()) + list(kirchhoff.values())
     max_res = max((abs(r) for r in residuals), default=0.0)
     return CirculationCheck(max_res <= tol, nl, kirchhoff, max_res)
@@ -165,53 +172,44 @@ def solve_circulations(g: MeasuredReebGraph) -> CirculationSolveResult:
     One unknown per solid edge (the tail limit; the head limit follows from
     the moment).  Vertices incident to a dashed edge impose no constraint;
     on an all-solid graph a solution exists exactly when the total moment
-    vanishes.
+    vanishes.  The constraint rows are a node-arc incidence matrix, so the
+    homogeneous basis is the fundamental cycles of a spanning forest.
     """
     solids = sorted(g.solid_edges(), key=lambda e: e.id)
     col = {e.id: i for i, e in enumerate(solids)}
     moments = {e.id: edge_moment(g, e) for e in solids}
 
-    has_dashed = bool(g.dashed_edges())
-    if not has_dashed:
+    if not g.dashed_edges():
         lo, hi = g.f_range()
         tol = 1e-9 * max(1.0, g.total_mass) * max(1.0, hi - lo)
         tm = float(math.fsum(moments.values()))
         if abs(tm) > tol:
             return CirculationSolveResult(False, None, [], violated_moment=tm)
 
-    if not solids:
-        return CirculationSolveResult(True, CirculationFunction({}), [])
-
     rows: list[list[int]] = []
     rhs: list[float] = []
-    for vid in _solid_only_vertices(g):
+    for ins, outs in _solid_only_stars(g).values():
         row = [0] * len(solids)
         b = 0.0
-        for e in g.edges_at(vid):
-            if e.head == vid:
-                row[col[e.id]] += 1
-                b -= moments[e.id]
-            else:
-                row[col[e.id]] -= 1
+        for e in ins:
+            row[col[e.id]] += 1
+            b -= moments[e.id]
+        for e in outs:
+            row[col[e.id]] -= 1
         rows.append(row)
         rhs.append(b)
 
-    if rows:
-        null = linalg.nullspace(rows, len(solids))
-        A = np.array(rows, dtype=float)
-        x, *_ = np.linalg.lstsq(A, np.array(rhs), rcond=None)
-        residual = float(np.max(np.abs(A @ x - np.array(rhs)))) if len(rhs) else 0.0
-        lo, hi = g.f_range()
-        scale = max(1.0, g.total_mass * max(1.0, hi - lo))
-        if residual > 1e-8 * scale:
-            return CirculationSolveResult(
-                False, None, [], violated_moment=float(math.fsum(moments.values()))
-            )
-    else:
-        null = [
-            [Fraction(int(i == j)) for i in range(len(solids))] for j in range(len(solids))
-        ]
-        x = np.zeros(len(solids))
+    null = linalg.nullspace(rows, len(solids))
+    # an empty system has the zero least-squares solution
+    A = np.array(rows, dtype=float).reshape(len(rows), len(solids))
+    x, *_ = np.linalg.lstsq(A, np.array(rhs), rcond=None)
+    residual = float(np.max(np.abs(A @ x - np.array(rhs)))) if len(rhs) else 0.0
+    lo, hi = g.f_range()
+    scale = max(1.0, g.total_mass * max(1.0, hi - lo))
+    if residual > 1e-8 * scale:
+        return CirculationSolveResult(
+            False, None, [], violated_moment=float(math.fsum(moments.values()))
+        )
 
     particular = CirculationFunction(
         {e.id: (float(x[col[e.id]]), float(x[col[e.id]] + moments[e.id])) for e in solids}
@@ -332,32 +330,14 @@ class SingularTree:
     edges: list[tuple[Node, Node, dict[EdgeKey, float]]]
 
     def path_coeffs(self, a: Node, b: Node) -> dict[EdgeKey, float]:
-        if a == b:
-            return {}
-        adj: dict[Node, list[tuple[Node, dict[EdgeKey, float], float]]] = {}
-        for x, y, co in self.edges:
-            adj.setdefault(x, []).append((y, co, 1.0))
-            adj.setdefault(y, []).append((x, co, -1.0))
-        prev: dict[Node, tuple[Node, dict[EdgeKey, float], float]] = {}
-        stack = [a]
-        seen = {a}
-        while stack:
-            cur = stack.pop()
-            if cur == b:
-                break
-            for nxt, co, sign in adj.get(cur, []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    prev[nxt] = (cur, co, sign)
-                    stack.append(nxt)
-        if b not in seen:
+        arcs = [(x, y) for x, y, _ in self.edges] + [(b, a)]
+        cycles = linalg.fundamental_cycles(arcs)
+        if not cycles or cycles[-1][0] != len(self.edges):
             raise InvalidGraph(f"singular level of vertex {self.vertex_id} is not connected")
         out: dict[EdgeKey, float] = {}
-        cur = b
-        while cur != a:
-            last, co, sign = prev[cur]
-            _accumulate(out, co, sign)
-            cur = last
+        # the tree path from a to b, accumulated from its b end
+        for j, sign in reversed(cycles[-1][1]):
+            _accumulate(out, self.edges[j][2], sign)
         return out
 
 
@@ -554,52 +534,10 @@ def dashed_cycle_basis(g: MeasuredReebGraph) -> list[tuple[int, ...]]:
     encoded as signed edge ids.
     """
     dashed = sorted(g.dashed_edges(), key=lambda e: e.id)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_adj: dict[int, list[tuple[int, int, int]]] = {}
-    non_tree = []
-    for e in dashed:
-        ru, rv = find(e.tail), find(e.head)
-        if ru == rv:
-            non_tree.append(e)
-        else:
-            parent[max(ru, rv)] = min(ru, rv)
-            tree_adj.setdefault(e.tail, []).append((e.head, e.id, 1))
-            tree_adj.setdefault(e.head, []).append((e.tail, e.id, -1))
-    basis = []
-    for e in non_tree:
-        # BFS path head -> tail in the forest
-        prev: dict[int, tuple[int, int, int]] = {}
-        queue = [e.head]
-        seen = {e.head}
-        while queue:
-            cur = queue.pop(0)
-            if cur == e.tail:
-                break
-            for nxt, eid, sign in sorted(tree_adj.get(cur, [])):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    prev[nxt] = (cur, eid, sign)
-                    queue.append(nxt)
-        if e.tail not in seen:
-            raise InvalidGraph("dashed cycle basis: forest path missing")
-        path = []
-        cur = e.tail
-        while cur != e.head:
-            last, eid, sign = prev[cur]
-            path.append(sign * eid)  # signed for the step `last` -> `cur`
-            cur = last
-        # the closed walk is +e (tail -> head), then the forest steps from
-        # head back to tail; path was collected tail-first, so reverse it
-        walk = [e.id] + path[::-1]
-        basis.append(tuple(walk))
-    return basis
+    return [
+        tuple([dashed[i].id] + [sign * dashed[j].id for j, sign in steps])
+        for i, steps in linalg.fundamental_cycles([(e.tail, e.head) for e in dashed])
+    ]
 
 
 def cycle_edge_vector(cycle: tuple[int, ...]) -> dict[int, int]:

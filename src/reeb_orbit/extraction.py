@@ -309,7 +309,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     # the lids of a cyclic-order vertex are the band levels on either side,
     # already traced, and its event slab already sorted them into below/above
     for j, (below, above) in enumerate(events):
-        if graph.dashed_degree(j + 1) >= 3:
+        if len(graph.dashed_edges_at(j + 1)) >= 3:
             order = _cyclic_order_walk(
                 s,
                 ctx,
@@ -451,7 +451,7 @@ def cyclic_order(
     if ctx is None or ctx.surface is not s:
         ctx = ensure_context(s, graph)
     v = graph.vertex(vertex_id)
-    degree = graph.dashed_degree(vertex_id)
+    degree = len(graph.dashed_edges_at(vertex_id))
     if degree < 2:
         raise ValueError(f"vertex {vertex_id} has fewer than two dashed edges")
     if degree == 2:

@@ -114,12 +114,11 @@ def level_tables(s: PLSurface) -> LevelTables:
     tables = getattr(s, "_level_tables", None)
     if tables is None:
         tri_f = s.f[s.triangles]
-        pairs = [(k, ts) for k, ts in s.edge_tris.items() if len(ts) == 2]
-        edge_f = s.f[np.array([k for k, _ in pairs], dtype=int).reshape(-1, 2)]
+        edge_f = s.f[s.interior_ends]
         tables = LevelTables(
             fmin=tri_f.min(axis=1),
             fmax=tri_f.max(axis=1),
-            adj=np.array([ts for _, ts in pairs], dtype=np.int32).reshape(-1, 2),
+            adj=s.interior_tris,
             adj_fmin=edge_f.min(axis=1),
             adj_fmax=edge_f.max(axis=1),
             boundary_positions={

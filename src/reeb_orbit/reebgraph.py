@@ -17,6 +17,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DataError, InvalidGraph
+from .levels import DSU
 
 VERTEX_TYPES = ("I", "II", "III", "IV", "V", "VI", "VII")
 AS_IN_TABLE = "as-in-table"
@@ -38,6 +39,10 @@ _INCIDENCE = {
     ("VII", AS_IN_TABLE): (0, 0, 0, 1),
     ("VII", F_REVERSED): (0, 0, 1, 0),
 }
+
+
+def _slab_moment(x: np.ndarray, c: np.ndarray) -> float:
+    return float(math.fsum((0.5 * (x[1:] + x[:-1]) * (c[1:] - c[:-1])).tolist()))
 
 
 @dataclass
@@ -62,24 +67,19 @@ class MeasureProfile:
     def grid(self) -> np.ndarray:
         return np.linspace(self.f_lo, self.f_hi, len(self.cumulative))
 
-    def value_at(self, x: float) -> float:
-        """Cumulative mass below level x, by linear interpolation."""
-        return float(np.interp(x, self.grid(), self.cumulative))
-
     def partial_moment(self, a: float, b: float) -> float:
         """Trapezoid-style moment of the field over [a, b]: sum of slab
         midpoints times slab mass increments on the sample grid."""
         if not (self.f_lo <= a <= b <= self.f_hi):
             raise ValueError("moment interval outside the edge range")
         grid = self.grid()
-        stops = [a] + [float(g) for g in grid if a < g < b] + [b]
-        parts = []
-        prev_x, prev_c = stops[0], self.value_at(stops[0])
-        for x in stops[1:]:
-            c = self.value_at(x)
-            parts.append(0.5 * (x + prev_x) * (c - prev_c))
-            prev_x, prev_c = x, c
-        return float(math.fsum(parts))
+        x = np.concatenate(([a], grid[(a < grid) & (grid < b)], [b]))
+        return _slab_moment(x, np.interp(x, grid, self.cumulative))
+
+    def moment(self) -> float:
+        """``partial_moment`` over the whole edge, whose stops are the grid
+        and whose interpolated values are the samples themselves."""
+        return _slab_moment(self.grid(), self.cumulative)
 
     def check(self) -> None:
         if len(self.cumulative) < 2:
@@ -147,9 +147,6 @@ class MeasuredReebGraph:
     def dashed_edges_at(self, vid: int) -> list[ReebEdge]:
         return [e for e in self.edges_at(vid) if e.dashed]
 
-    def dashed_degree(self, vid: int) -> int:
-        return len(self.dashed_edges_at(vid))
-
     def solid_edges(self) -> list[ReebEdge]:
         return [e for e in self.edges if not e.dashed]
 
@@ -185,16 +182,24 @@ class MeasuredReebGraph:
         if len(set(fvals)) != len(fvals):
             raise InvalidGraph("vertex field values must be pairwise distinct")
 
-        for e in self.edges:
+        flagged = self._flag_profiles()
+        # (dashed_in, dashed_out, solid_in, solid_out) per vertex
+        incidence = {v.id: [0, 0, 0, 0] for v in self.vertices}
+        parts = DSU()
+        for e, suspect in zip(self.edges, flagged):
             if e.tail not in self._vertex_by_id or e.head not in self._vertex_by_id:
                 raise InvalidGraph(f"edge {e.id} references unknown vertex")
             if not self.vertex(e.tail).f < self.vertex(e.head).f:
                 raise InvalidGraph(f"edge {e.id} not oriented towards increasing f")
             if e.style not in ("solid", "dashed"):
                 raise InvalidGraph(f"edge {e.id} has unknown style {e.style!r}")
-            e.profile.check()
+            if suspect:
+                e.profile.check()
             if e.profile.f_lo != self.vertex(e.tail).f or e.profile.f_hi != self.vertex(e.head).f:
                 raise InvalidGraph(f"edge {e.id} profile range mismatch")
+            incidence[e.head][0 if e.dashed else 2] += 1
+            incidence[e.tail][1 if e.dashed else 3] += 1
+            parts.union(e.tail, e.head)
 
         for v in self.vertices:
             if v.vtype not in VERTEX_TYPES:
@@ -203,19 +208,15 @@ class MeasuredReebGraph:
                 raise InvalidGraph(
                     f"vertex {v.id}: invalid orientation {v.orientation!r} for {v.vtype}"
                 )
-            din = sum(1 for e in self.edges if e.head == v.id and e.dashed)
-            dout = sum(1 for e in self.edges if e.tail == v.id and e.dashed)
-            sin = sum(1 for e in self.edges if e.head == v.id and not e.dashed)
-            sout = sum(1 for e in self.edges if e.tail == v.id and not e.dashed)
-            if (din, dout, sin, sout) != _INCIDENCE[(v.vtype, v.orientation)]:
+            counts = tuple(incidence[v.id])
+            if counts != _INCIDENCE[(v.vtype, v.orientation)]:
                 raise InvalidGraph(
-                    f"vertex {v.id}: incidence {(din, dout, sin, sout)} does not "
+                    f"vertex {v.id}: incidence {counts} does not "
                     f"match type {v.vtype}/{v.orientation}"
                 )
 
         for v in self.vertices:
-            deg = self.dashed_degree(v.id)
-            if deg >= 3:
+            if sum(incidence[v.id][:2]) >= 3:
                 order = self.cyclic_orders.get(v.id)
                 if order is None:
                     raise InvalidGraph(f"vertex {v.id} needs a cyclic order")
@@ -225,21 +226,23 @@ class MeasuredReebGraph:
             elif v.id in self.cyclic_orders:
                 raise InvalidGraph(f"vertex {v.id} must not carry a cyclic order")
 
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        adj: dict[int, list[int]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
-        start = self.vertices[0].id
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if len({parts.find(v.id) for v in self.vertices}) > 1:
             raise InvalidGraph("graph is disconnected")
+
+    def _flag_profiles(self) -> list[bool]:
+        """Per edge, whether ``MeasureProfile.check`` may fail on its profile.
+
+        All samples are screened at once; a step is charged to its upper
+        sample, and the first sample of each profile must be zero instead.
+        """
+        cums = [e.profile.cumulative for e in self.edges]
+        sizes = np.array([len(c) for c in cums])
+        flat = np.concatenate(cums)
+        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+        bad = ~np.isfinite(flat)
+        bad[1:] |= np.diff(flat) <= 0.0
+        bad[starts] = flat[starts] != 0.0
+        bad_samples = np.bincount(np.repeat(np.arange(len(cums)), sizes), weights=bad,
+                                  minlength=len(cums))
+        return [n > 0 or len(c) < 2 or not e.profile.f_lo < e.profile.f_hi
+                for n, c, e in zip(bad_samples.tolist(), cums, self.edges)]

@@ -118,6 +118,10 @@ class PLSurface:
             (u, v): [tris[a]] if b < 0 else [tris[a], tris[b]]
             for u, v, a, b in zip(*(column.tolist() for column in edges.T))
         }
+        # ends and triangle pair of each interior edge, in edge order
+        interior = edges[:, 3] >= 0
+        self.interior_ends = edges[interior, :2].astype(np.int32)
+        self.interior_tris = edges[interior, 2:].astype(np.int32)
         self.boundary_edge_keys = set(map(tuple, np.sort(boundary, axis=1).tolist()))
         self.total_area = float(math.fsum(self.areas.tolist()))
         self._id_of_index = list(self.vertex_ids)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import reeb_orbit as ro
+from reeb_orbit import linalg
 from reeb_orbit.circulation import (
     CirculationFunction,
     DiscreteOneForm,
@@ -21,7 +23,8 @@ from reeb_orbit.circulation import (
     vorticity,
     xi_class,
 )
-from reeb_orbit.fixtures import closed_torus_graph
+from reeb_orbit.fixtures import closed_torus_graph, fig2_graph, fig4a_graph, fig4b_graph
+from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.levels import band_moment
 from reeb_orbit.reebgraph import MeasureProfile, ReebEdge, ReebVertex, MeasuredReebGraph
 
@@ -427,3 +430,119 @@ def test_synthesis_check_catches_a_missed_cycle_coordinate(monkeypatch, annulus)
     _wrong_solution(monkeypatch)
     with pytest.raises(ro.InfeasibleTarget, match="cycle coordinate targets not met"):
         synthesize_form(annulus, g, CirculationFunction({}), XiClass(dashed_cycle_basis(g), [1.0]))
+
+
+# -- graph-side kernels against their rational and per-point references ---------------
+
+
+def reference_nullspace(rows, ncols):
+    """Kernel by exact rational row reduction: one vector per free column."""
+    mat, pivots = linalg.rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def reference_partial_moment(p, a, b):
+    """Moment over [a, b] with the grid rebuilt for every interpolated stop."""
+
+    def value_at(x):
+        return float(np.interp(x, np.linspace(p.f_lo, p.f_hi, len(p.cumulative)), p.cumulative))
+
+    grid = np.linspace(p.f_lo, p.f_hi, len(p.cumulative))
+    stops = [a] + [float(g) for g in grid if a < g < b] + [b]
+    parts = []
+    prev_x, prev_c = stops[0], value_at(stops[0])
+    for x in stops[1:]:
+        c = value_at(x)
+        parts.append(0.5 * (x + prev_x) * (c - prev_c))
+        prev_x, prev_c = x, c
+    return float(math.fsum(parts))
+
+
+def _corpus():
+    graphs = [fig2_graph(), fig4a_graph(), fig4b_graph(), closed_torus_graph()]
+    for max_events in (8, 20):
+        graphs += [random_measured_graph(seed, max_events=max_events) for seed in range(100)]
+    return graphs
+
+
+def test_forest_nullspace_matches_rational_elimination(monkeypatch):
+    systems = []
+    original = linalg.nullspace
+
+    def recording(rows, ncols):
+        systems.append((rows, ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", recording)
+    for g in _corpus():
+        solve_circulations(g)
+    assert len(systems) > 150
+    assert any(rows for rows, _ in systems) and any(not rows for rows, _ in systems)
+    for rows, ncols in systems:
+        assert original(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize("rows", [[[2, 0]], [[1, 1], [1, 0]], [[0.5, -1]], [[-1, 0], [-1, 1]]])
+def test_nullspace_rejects_non_incidence_matrices(rows):
+    with pytest.raises(ValueError, match="node-arc incidence"):
+        linalg.nullspace(rows, 2)
+
+
+def test_partial_moment_matches_per_point_reference():
+    rng = np.random.default_rng(7)
+    for g in _corpus()[:60]:
+        for e in g.edges:
+            p = e.profile
+            want = reference_partial_moment(p, p.f_lo, p.f_hi)
+            assert edge_moment(g, e) == want
+            assert p.partial_moment(p.f_lo, p.f_hi) == want
+            grid = p.grid()
+            for a, b in (
+                sorted(rng.uniform(p.f_lo, p.f_hi, 2)),
+                (float(grid[1]), float(grid[-2])),
+                (p.f_lo, float(rng.uniform(p.f_lo, p.f_hi))),
+                (float(grid[1]), float(grid[1])),
+            ):
+                assert p.partial_moment(a, b) == reference_partial_moment(p, a, b)
+
+
+def _level_shifted(g, d):
+    vertices = [ReebVertex(v.id, v.f + d, v.vtype, v.orientation) for v in g.vertices]
+    edges = [
+        ReebEdge(e.id, e.tail, e.head, e.style,
+                 MeasureProfile(e.profile.f_lo + d, e.profile.f_hi + d, e.profile.cumulative))
+        for e in g.edges
+    ]
+    return MeasuredReebGraph(vertices, edges, g.cyclic_orders)
+
+
+def test_large_closed_graph_solves_by_counting(monkeypatch):
+    from tests.test_equivalence import height_graph
+
+    g = height_graph(150)
+    g = _level_shifted(g, -total_moment(g) / g.total_mass)
+    assert len(g.solid_edges()) >= 450
+
+    def no_elimination(*args):
+        raise AssertionError("circulation solving must not row-reduce")
+
+    linspace_calls = []
+    linspace = np.linspace
+
+    def counting_linspace(*args, **kwargs):
+        linspace_calls.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", no_elimination)
+    monkeypatch.setattr(np, "linspace", counting_linspace)
+    res = solve_circulations(g)
+    assert len(linspace_calls) <= 2 * len(g.edges)
+    assert res.exists
+    assert len(res.basis) == ro.homology_dims(g).h1_rel == 150
