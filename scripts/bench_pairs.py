@@ -16,6 +16,12 @@ end-to-end metrics, the per-side medians and quartiles, the number of pairs
 in which the change did better, and the machine (CPUs, Python, numpy,
 scipy).  It is written to CHANGE.
 
+The runs write no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the script
+refuses to start while either checkout holds a ``__pycache__`` under ``src/``
+or ``benchmark/``: a side that imports cached bytecode starts faster and
+reads less memory than one that compiles its sources, which biases
+``setup_s`` and ``peak_rss_mb``.
+
 Standard library only; the runs use this interpreter.
 """
 
@@ -39,12 +45,18 @@ def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     """One untraced benchmark run; returns its result JSON."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload,
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout.name}: {' '.join(argv[1:])} exited {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """``__pycache__`` directories under the checkout's src/ and benchmark/."""
+    return sorted(p for sub in ("src", "benchmark") for p in (checkout / sub).rglob("__pycache__"))
 
 
 def machine() -> dict:
@@ -99,6 +111,12 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        caches = bytecode_caches(checkout)
+        if caches:
+            raise SystemExit(f"{side} checkout {checkout} holds bytecode caches, which bias "
+                             f"setup_s and peak_rss_mb; remove them first: "
+                             f"{', '.join(str(p) for p in caches)}")
 
     doc = {
         "pr": args.pr,

@@ -24,7 +24,7 @@ import scipy.sparse.linalg
 from . import linalg
 from .errors import InfeasibleTarget, InvalidGraph, LevelOnVertex
 from .extraction import ExtractionContext, ensure_context
-from .levels import LevelComponent, crossing_param, level_tables, trace_level
+from .levels import DSU, LevelComponent, crossing_param, level_tables, trace_level
 from .reebgraph import MeasuredReebGraph, ReebEdge
 from .surface import EdgeKey, PLSurface, edge_key
 
@@ -233,7 +233,7 @@ def vorticity(s: PLSurface, a: DiscreteOneForm) -> np.ndarray:
     return out
 
 
-def _bary_of_crossing(s: PLSurface, tri: int, key: EdgeKey, t: float) -> dict[int, float]:
+def _bary_of_crossing(s: PLSurface, key: EdgeKey, t: float) -> dict[int, float]:
     u, v = key
     p = crossing_param(s, key, t)
     return {u: 1.0 - p, v: p}
@@ -268,8 +268,8 @@ def polyline_coeffs(s: PLSurface, comp: LevelComponent) -> dict[EdgeKey, float]:
     """Linear functional computing the integral along a traced level polyline."""
     out: dict[EdgeKey, float] = {}
     for ch in comp.chords:
-        lam_p = _bary_of_crossing(s, ch.tri, ch.entry, comp.t)
-        lam_q = _bary_of_crossing(s, ch.tri, ch.exit, comp.t)
+        lam_p = _bary_of_crossing(s, ch.entry, comp.t)
+        lam_q = _bary_of_crossing(s, ch.exit, comp.t)
         _accumulate(out, _chord_coeffs(s, ch.tri, lam_p, lam_q))
     return out
 
@@ -438,7 +438,11 @@ def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
     return LiftedEdge(e.id, lifted.pieces, lifted.start_node, lifted.end_node)
 
 
-def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTree:
+def _level_graph(
+    s: PLSurface, ctx: ExtractionContext, vid: int
+) -> tuple[Node, list[tuple[Node, Node, dict[EdgeKey, float]]]]:
+    """The critical vertex of graph vertex vid and the edges of its level set:
+    mesh edges on the level and chords across the triangles it cuts."""
     j = vid - 1
     w = ctx.critical_vertices[j]
     c = ctx.critical_values[j]
@@ -462,7 +466,7 @@ def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTr
             key = edge_key(others[0], others[1])
             if (s.f[others[0]] - c) * (s.f[others[1]] - c) < 0:
                 lam_p = {on[0]: 1.0}
-                lam_q = _bary_of_crossing(s, tri, key, c)
+                lam_q = _bary_of_crossing(s, key, c)
                 chords.append(
                     (("v", on[0]), ("x", key), _chord_coeffs(s, tri, lam_p, lam_q))
                 )
@@ -473,8 +477,8 @@ def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTr
                 if (s.f[verts[i]] - c) * (s.f[verts[(i + 1) % 3]] - c) < 0
             ]
             if len(crossed) == 2:
-                lam_p = _bary_of_crossing(s, tri, crossed[0], c)
-                lam_q = _bary_of_crossing(s, tri, crossed[1], c)
+                lam_p = _bary_of_crossing(s, crossed[0], c)
+                lam_q = _bary_of_crossing(s, crossed[1], c)
                 chords.append(
                     (("x", crossed[0]), ("x", crossed[1]), _chord_coeffs(s, tri, lam_p, lam_q))
                 )
@@ -482,33 +486,21 @@ def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTr
         (("v", u), ("v", v), {(u, v): 1.0}) for u, v in sorted(level_keys)
     ]
     edges.extend(chords)
+    return ("v", w), edges
 
-    # component containing the critical vertex
-    adj: dict[Node, list[int]] = {}
-    for idx, (x, y, _) in enumerate(edges):
-        adj.setdefault(x, []).append(idx)
-        adj.setdefault(y, []).append(idx)
-    root: Node = ("v", w)
-    seen_nodes = {root}
-    seen_edges: set[int] = set()
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        for idx in adj.get(cur, []):
-            if idx in seen_edges:
-                continue
-            seen_edges.add(idx)
-            x, y, _ = edges[idx]
-            for nxt in (x, y):
-                if nxt not in seen_nodes:
-                    seen_nodes.add(nxt)
-                    stack.append(nxt)
-    component_edges = [edges[idx] for idx in sorted(seen_edges)]
-    if len(component_edges) != len(seen_nodes) - 1:
-        raise InvalidGraph(
-            f"singular level at vertex {vid} is not simply connected"
-        )
-    return SingularTree(vid, sorted(seen_nodes, key=repr), component_edges)
+
+def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTree:
+    root, edges = _level_graph(s, ctx, vid)
+    # the component containing the critical vertex
+    parts = DSU()
+    for x, y, _ in edges:
+        parts.union(x, y)
+    top = parts.find(root)
+    component_edges = [edge for edge in edges if parts.find(edge[0]) == top]
+    nodes = {root} | {node for x, y, _ in component_edges for node in (x, y)}
+    if len(component_edges) != len(nodes) - 1:
+        raise InvalidGraph(f"singular level at vertex {vid} is not simply connected")
+    return SingularTree(vid, sorted(nodes, key=repr), component_edges)
 
 
 def lift_dashed_graph(s: PLSurface, g: MeasuredReebGraph) -> LiftedGraph:

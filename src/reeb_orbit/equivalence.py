@@ -95,12 +95,12 @@ def _cyclically_equal(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def _resampled_gap(e1, e2) -> float:
-    """Max pointwise cumulative gap after resampling to normalized parameter."""
-    u1 = np.linspace(0.0, 1.0, len(e1.profile.cumulative))
-    u2 = np.linspace(0.0, 1.0, len(e2.profile.cumulative))
-    grid = np.union1d(u1, u2)
-    c1 = np.interp(grid, u1, e1.profile.cumulative)
-    c2 = np.interp(grid, u2, e2.profile.cumulative)
+    """Max pointwise cumulative gap on the union of both normalized sample grids."""
+    c1, c2 = e1.profile.cumulative, e2.profile.cumulative
+    if len(c1) != len(c2):
+        u1, u2 = np.linspace(0.0, 1.0, len(c1)), np.linspace(0.0, 1.0, len(c2))
+        grid = np.union1d(u1, u2)
+        c1, c2 = np.interp(grid, u1, c1), np.interp(grid, u2, c2)
     return float(np.max(np.abs(c1 - c2)))
 
 
@@ -152,15 +152,15 @@ def match_measured(
     # Every vertex type has at most two in-edges and two out-edges, so a
     # bundle of parallel edges has at most two bijections onto its partner
     # bundle.  Style and measure are checked per edge, so each bundle's
-    # bijections are filtered on their own; only bundles with an edge in a
-    # cyclic order are searched jointly, in product order.
+    # bijections are filtered on their own.  One mapped edge fixes the
+    # rotation of its cyclic order, so a bundle's bijection forces every
+    # bundle linked to it through orders: taking, for each bundle not yet
+    # mapped in key order, the first bijection whose forced extension closes
+    # gives the first map in product order, without a search.
     keys = sorted(bundles1)
     order_key = lambda e: (e.style, e.mass, e.id)  # noqa: E731
     sorted1 = {k: sorted(bundles1[k], key=order_key) for k in keys}
     sorted2 = {k: sorted(bundles2[(vm[k[0]], vm[k[1]])], key=order_key) for k in keys}
-
-    def bundle_map(k: tuple[int, int], perm) -> dict[int, int]:
-        return {e.id: sorted2[k][p].id for e, p in zip(sorted1[k], perm)}
 
     def style_obstruction(em: dict[int, int], edges) -> Optional[Obstruction]:
         for e in edges:
@@ -196,33 +196,46 @@ def match_measured(
         return None
 
     def passing(k: tuple[int, int]):
-        """Bijections of bundle k that keep each of its edges' style and measure."""
+        """Maps of bundle k that keep each of its edges' style and measure."""
         for perm in itertools.permutations(range(len(sorted1[k]))):
-            bm = bundle_map(k, perm)
+            bm = {e.id: sorted2[k][p].id for e, p in zip(sorted1[k], perm)}
             if not (style_obstruction(bm, sorted1[k]) or measure_obstruction(bm, sorted1[k])):
-                yield perm
+                yield bm
 
-    ordered = {eid for order in g1.cyclic_orders.values() for eid in order}
-    coupled = [k for k in keys if any(e.id in ordered for e in sorted1[k])]
+    bundle_of = {e.id: k for k in keys for e in sorted1[k]}
 
-    def search() -> Optional[dict[int, int]]:
-        em: dict[int, int] = {}
-        for k in keys:
-            if k not in coupled:
-                perm = next(passing(k), None)
-                if perm is None:
+    def extend(k: tuple[int, int], part: dict[int, int]) -> Optional[dict[int, int]]:
+        """Bundle k's map with every map it forces through orders; None on a clash."""
+        todo, seen = [k], set()
+        while todo:
+            for vid in todo.pop():  # a bundle's key is its pair of end vertices
+                order = g1.cyclic_orders.get(vid, ())
+                if vid in seen or part.keys().isdisjoint(order):
+                    continue
+                seen.add(vid)
+                free = sorted({bundle_of[eid] for eid in order if eid not in part})
+                other = g2.cyclic_orders.get(vm[vid])
+                for combo in itertools.product(*(passing(b) for b in free)):
+                    trial = {eid: x for bm in combo for eid, x in bm.items()}
+                    mapped = tuple(trial[eid] if eid in trial else part[eid] for eid in order)
+                    if other is not None and _cyclically_equal(mapped, other):
+                        break
+                else:
                     return None
-                em.update(bundle_map(k, perm))
-        for combo in itertools.product(*(list(passing(k)) for k in coupled)):
-            for k, perm in zip(coupled, combo):
-                em.update(bundle_map(k, perm))
-            if order_obstruction(em) is None:
-                return em
-        return None
+                part.update(trial)
+                todo.extend(free)
+        return part
 
-    em = search()
-    if em is not None:
-        return GraphIsomorphism(vm, em)
+    em: dict[int, int] = {}
+    for k in keys:
+        if sorted1[k][0].id not in em:
+            part = next(filter(None, (extend(k, bm) for bm in passing(k))), None)
+            if part is None:
+                break
+            em.update(part)
+    else:
+        if order_obstruction(em) is None:
+            return GraphIsomorphism(vm, em)
 
     # no map passes: report what stops the identity candidate
     identity = {e.id: e2.id for k in keys for e, e2 in zip(sorted1[k], sorted2[k])}
@@ -275,19 +288,18 @@ def match_augmented(
 
     if a1.xi.basis:
         dashed_ids = sorted(e.id for e in g2.dashed_edges())
-        col = {eid: i for i, eid in enumerate(dashed_ids)}
         rows = []
         for cycle in a2.xi.basis:
             vec = cycle_edge_vector(cycle)
             rows.append([Fraction(vec.get(eid, 0)) for eid in dashed_ids])
+        # a transported cycle's coefficients in the partner basis solve at x = target
+        at = [[rows[r][c] for r in range(len(rows))] for c in range(len(dashed_ids))]
         for cycle, coord in zip(a1.xi.basis, a1.xi.coords):
             mapped = tuple(
                 int(math.copysign(iso.edge_map[abs(x)], x)) for x in cycle
             )
             vec = cycle_edge_vector(mapped)
             target = [Fraction(vec.get(eid, 0)) for eid in dashed_ids]
-            # coefficients of the transported cycle in the partner basis
-            at = [[rows[r][c] for r in range(len(rows))] for c in range(len(dashed_ids))]
             sol = linalg.solve_exact(at, target)
             if sol is None:
                 return GraphIsomorphism(

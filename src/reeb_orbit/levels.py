@@ -1,4 +1,4 @@
-"""Level-set machinery on PL surfaces: tracing, slab connectivity, areas.
+"""Level-set machinery on PL surfaces: tracing and slab connectivity.
 
 Level polylines are traced at regular values only (no mesh vertex sits on the
 level), so every crossed triangle contains exactly one chord.  Chords are
@@ -9,7 +9,6 @@ cyclic-order conventions downstream inherit this choice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -216,65 +215,3 @@ def slab_triangle_components(
     label = min_labels(len(member), a[linked], b[linked])
     members = np.flatnonzero(member)
     return dict(zip(members.tolist(), label[members].tolist()))
-
-
-# -- per-triangle sublevel areas and moments -----------------------------------
-
-
-def frac_below(fa: float, fb: float, fc: float, t: float) -> float:
-    """Fraction of a triangle's (barycentric-uniform) area below level t."""
-    f1, f2, f3 = sorted((fa, fb, fc))
-    if t <= f1:
-        return 0.0
-    if t >= f3:
-        return 1.0
-    if t <= f2:
-        denom = (f2 - f1) * (f3 - f1)
-        if denom == 0.0:
-            return 0.0
-        return (t - f1) * (t - f1) / denom
-    denom = (f3 - f2) * (f3 - f1)
-    if denom == 0.0:
-        return 1.0
-    return 1.0 - (f3 - t) * (f3 - t) / denom
-
-
-def moment_below(fa: float, fb: float, fc: float, t: float) -> float:
-    """Integral of the field over the sublevel part, in area fractions.
-
-    Exact for the affine interpolant: the sublevel corner piece is a triangle
-    with values (f1, t, t), so its mean is (f1 + 2t)/3; symmetrically above.
-    """
-    f1, f2, f3 = sorted((fa, fb, fc))
-    mean = (f1 + f2 + f3) / 3.0
-    if t <= f1:
-        return 0.0
-    if t >= f3:
-        return mean
-    if t <= f2:
-        return frac_below(fa, fb, fc, t) * (f1 + 2.0 * t) / 3.0
-    return mean - (1.0 - frac_below(fa, fb, fc, t)) * (f3 + 2.0 * t) / 3.0
-
-
-def band_area(s: PLSurface, tris: Iterable[int], lo: float, hi: float) -> float:
-    """Weighted area of the given triangles clipped to lo < f < hi."""
-    parts = []
-    for tri in tris:
-        a, b, c = (int(x) for x in s.triangles[tri])
-        fa, fb, fc = s.f[a], s.f[b], s.f[c]
-        parts.append(
-            float(s.areas[tri]) * (frac_below(fa, fb, fc, hi) - frac_below(fa, fb, fc, lo))
-        )
-    return float(math.fsum(parts))
-
-
-def band_moment(s: PLSurface, tris: Iterable[int], lo: float, hi: float) -> float:
-    """Exact field moment of the clipped triangles (oracle for quadratures)."""
-    parts = []
-    for tri in tris:
-        a, b, c = (int(x) for x in s.triangles[tri])
-        fa, fb, fc = s.f[a], s.f[b], s.f[c]
-        parts.append(
-            float(s.areas[tri]) * (moment_below(fa, fb, fc, hi) - moment_below(fa, fb, fc, lo))
-        )
-    return float(math.fsum(parts))

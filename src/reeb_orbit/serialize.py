@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .reebgraph import MeasuredReebGraph, MeasureProfile, ReebEdge, ReebVertex
-from .surface import PLSurface, edge_key
+from .surface import PLSurface, decode_json, edge_key
 
 
 def graph_to_dict(g: MeasuredReebGraph) -> dict[str, Any]:
@@ -65,18 +65,7 @@ def graph_from_dict(doc: dict[str, Any]) -> MeasuredReebGraph:
 
 
 def load_graph(source: Any) -> MeasuredReebGraph:
-    if isinstance(source, dict):
-        return graph_from_dict(source)
-    try:
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        elif isinstance(source, (bytes, bytearray)):
-            doc = json.loads(source.decode("utf-8"))
-        else:
-            doc = json.loads(source)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ParseError(f"invalid graph JSON: {exc}") from exc
-    return graph_from_dict(doc)
+    return graph_from_dict(decode_json(source, "graph"))
 
 
 def augmented_to_dict(aug) -> dict[str, Any]:

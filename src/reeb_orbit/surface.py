@@ -414,24 +414,29 @@ def topology_summary(s: PLSurface) -> TopologySummary:
 # -- test transformations -----------------------------------------------------
 
 
+def decode_json(source: Any, noun: str) -> Any:
+    """The decoded document of bytes, a JSON string or a file-like object; an
+    already decoded dict is returned as it is.  ``noun`` names the format in
+    the ParseError message."""
+    if isinstance(source, dict):
+        return source
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        if isinstance(source, (bytes, bytearray)):
+            return json.loads(source.decode("utf-8"))
+        return json.loads(source)
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid {noun} JSON: {exc}") from exc
+
+
 def load_mesh(source: Any) -> PLSurface:
     """Parse the mesh JSON format into a validated surface.
 
     ``source`` may be bytes, a JSON string, a file-like object, or an already
     decoded dict.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            if hasattr(source, "read"):
-                doc = json.load(source)
-            elif isinstance(source, (bytes, bytearray)):
-                doc = json.loads(source.decode("utf-8"))
-            else:
-                doc = json.loads(source)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ParseError(f"invalid mesh JSON: {exc}") from exc
+    doc = decode_json(source, "mesh")
     if not isinstance(doc, dict) or "vertices" not in doc or "triangles" not in doc:
         raise ParseError("mesh JSON must contain 'vertices' and 'triangles'")
     if not isinstance(doc["vertices"], list) or not isinstance(doc["triangles"], list):

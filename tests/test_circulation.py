@@ -25,7 +25,6 @@ from reeb_orbit.circulation import (
 )
 from reeb_orbit.fixtures import closed_torus_graph, fig2_graph, fig4a_graph, fig4b_graph
 from reeb_orbit.fuzz import random_measured_graph
-from reeb_orbit.levels import band_moment
 from reeb_orbit.reebgraph import MeasureProfile, ReebEdge, ReebVertex, MeasuredReebGraph
 
 
@@ -59,10 +58,10 @@ def test_edge_moment_against_mesh_quadrature(torus_with_hole):
     tris = sorted({t for _, band_tris in ctx.edge_triangles(e.id) for t in band_tris})
     grid = e.profile.grid()
     oracle = 0.0
-    from reeb_orbit.levels import band_area
+    from tests.test_extraction import reference_band_area
 
     for a, b in zip(grid, grid[1:]):
-        oracle += 0.5 * (a + b) * band_area(torus_with_hole, tris, a, b)
+        oracle += 0.5 * (a + b) * reference_band_area(torus_with_hole, tris, a, b)
     assert edge_moment(g, e) == pytest.approx(oracle, rel=1e-6)
 
 
@@ -163,7 +162,9 @@ def _newton_leibniz_gap(surface):
     x, y = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
     c1 = circulation_from_form(surface, a, g, (e.id, x))
     c2 = circulation_from_form(surface, a, g, (e.id, y))
-    gap_exact = abs((c2 - c1) - band_moment(surface, range(len(surface.triangles)), x, y))
+    from tests.test_extraction import reference_band_moment
+
+    gap_exact = abs((c2 - c1) - reference_band_moment(surface, range(len(surface.triangles)), x, y))
     gap_profile = abs((c2 - c1) - e.profile.partial_moment(x, y))
     return max(gap_exact, gap_profile)
 
@@ -387,6 +388,53 @@ def test_synthesis_reads_probe_levels_from_the_context(monkeypatch):
     monkeypatch.setattr(extraction, "trace_level", forbidden)
     monkeypatch.setattr(circulation, "augment", forbidden)
     synthesize_form(surf, g, *_zero_targets(g))
+
+
+def reference_singular_component(edges, root):
+    """Nodes and edges of the level-graph component containing root, by an
+    adjacency list and a depth-first search."""
+    adj = {}
+    for idx, (x, y, _) in enumerate(edges):
+        adj.setdefault(x, []).append(idx)
+        adj.setdefault(y, []).append(idx)
+    seen_nodes = {root}
+    seen_edges = set()
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        for idx in adj.get(cur, []):
+            if idx in seen_edges:
+                continue
+            seen_edges.add(idx)
+            x, y, _ = edges[idx]
+            for nxt in (x, y):
+                if nxt not in seen_nodes:
+                    seen_nodes.add(nxt)
+                    stack.append(nxt)
+    return sorted(seen_nodes, key=repr), [edges[idx] for idx in sorted(seen_edges)]
+
+
+def test_singular_trees_match_depth_first_reference(torus_with_hole):
+    from reeb_orbit import circulation
+    from reeb_orbit.extraction import ensure_context
+
+    surfaces = [torus_with_hole] + [
+        ro.realize(random_measured_graph(seed, max_events=6), resolution=4).surface
+        for seed in (30001, 30004, 30006)
+    ]
+    trees = pruned = 0
+    for s in surfaces:
+        g = ro.extract_reeb(s, samples=8)
+        ctx = ensure_context(s, g)
+        for v in g.vertices:
+            if v.vtype in ("II", "IV"):
+                root, edges = circulation._level_graph(s, ctx, v.id)
+                tree = circulation._singular_tree(s, ctx, v.id)
+                assert (tree.nodes, tree.edges) == reference_singular_component(edges, root)
+                trees += 1
+                pruned += len(tree.edges) < len(edges)
+    # half of them drop a second level component
+    assert trees == 8 and pruned >= 2
 
 
 def test_synthesis_lifts_the_dashed_graph_once(monkeypatch):

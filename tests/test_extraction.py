@@ -17,7 +17,6 @@ from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.levels import (
     DSU,
     Chord,
-    band_area,
     pick_regular_value,
     slab_triangle_components,
     trace_level,
@@ -105,7 +104,7 @@ def test_profile_increments_match_clipping_oracle(disk, annulus):
             tris = sorted({t for _, band_tris in ctx.edge_triangles(e.id) for t in band_tris})
             for i, j in [(0, 5), (3, 11), (0, len(grid) - 1)]:
                 increment = e.profile.cumulative[j] - e.profile.cumulative[i]
-                oracle = band_area(s, tris, grid[i], grid[j])
+                oracle = reference_band_area(s, tris, grid[i], grid[j])
                 assert increment == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
@@ -256,6 +255,66 @@ def reference_chords(s, t):
         next_e = edge_key(x, verts[(i + 1) % 3])
         chords[tri] = Chord(tri, prev_e, next_e) if lone_above else Chord(tri, next_e, prev_e)
     return chords
+
+
+def reference_frac_below(fa, fb, fc, t):
+    """Fraction of a triangle's (barycentric-uniform) area below level t."""
+    f1, f2, f3 = sorted((fa, fb, fc))
+    if t <= f1:
+        return 0.0
+    if t >= f3:
+        return 1.0
+    if t <= f2:
+        denom = (f2 - f1) * (f3 - f1)
+        if denom == 0.0:
+            return 0.0
+        return (t - f1) * (t - f1) / denom
+    denom = (f3 - f2) * (f3 - f1)
+    if denom == 0.0:
+        return 1.0
+    return 1.0 - (f3 - t) * (f3 - t) / denom
+
+
+def reference_moment_below(fa, fb, fc, t):
+    """Integral of the field over the sublevel part, in area fractions.
+
+    Exact for the affine interpolant: the sublevel corner piece is a triangle
+    with values (f1, t, t), so its mean is (f1 + 2t)/3; symmetrically above.
+    """
+    f1, f2, f3 = sorted((fa, fb, fc))
+    mean = (f1 + f2 + f3) / 3.0
+    if t <= f1:
+        return 0.0
+    if t >= f3:
+        return mean
+    if t <= f2:
+        return reference_frac_below(fa, fb, fc, t) * (f1 + 2.0 * t) / 3.0
+    return mean - (1.0 - reference_frac_below(fa, fb, fc, t)) * (f3 + 2.0 * t) / 3.0
+
+
+def reference_band_area(s, tris, lo, hi):
+    """Weighted area of the given triangles clipped to lo < f < hi, one
+    triangle at a time."""
+    parts = []
+    for tri in tris:
+        fa, fb, fc = (s.f[int(x)] for x in s.triangles[tri])
+        parts.append(
+            float(s.areas[tri])
+            * (reference_frac_below(fa, fb, fc, hi) - reference_frac_below(fa, fb, fc, lo))
+        )
+    return float(math.fsum(parts))
+
+
+def reference_band_moment(s, tris, lo, hi):
+    """Exact field moment of the clipped triangles, one triangle at a time."""
+    parts = []
+    for tri in tris:
+        fa, fb, fc = (s.f[int(x)] for x in s.triangles[tri])
+        parts.append(
+            float(s.areas[tri])
+            * (reference_moment_below(fa, fb, fc, hi) - reference_moment_below(fa, fb, fc, lo))
+        )
+    return float(math.fsum(parts))
 
 
 def reference_area_below(vals, areas, t):
