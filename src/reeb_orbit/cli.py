@@ -127,7 +127,7 @@ def cmd_circulation(args) -> int:
     doc = _read_json(args.data)
     try:
         limits = {int(k): (float(v[0]), float(v[1])) for k, v in doc["circulation"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ReebOrbitError(f"invalid circulation data: {exc}") from exc
     check = circulation.check_circulation(
         g, circulation.CirculationFunction(limits), tol=args.tol
@@ -165,7 +165,7 @@ def cmd_synthesize(args) -> int:
             [tuple(int(x) for x in cyc) for cyc in xi_doc["basis"]],
             np.asarray([float(c) for c in xi_doc["coords"]]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ReebOrbitError(f"invalid synthesis targets: {exc}") from exc
     form = circulation.synthesize_form(s, g, target_c, target_xi)
     _write_or_print(serialize.oneform_to_dict(form), args.output)

@@ -188,9 +188,9 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     crit_idx = [s.index_of(c.vertex_id) for c in criticals]
     crit_vals = [c.f_value for c in criticals]
 
-    all_f = [float(x) for x in s.f]
+    values = level_tables(s).values
     band_values = [
-        pick_regular_value(crit_vals[j], crit_vals[j + 1], all_f) for j in range(m - 1)
+        pick_regular_value(crit_vals[j], crit_vals[j + 1], values) for j in range(m - 1)
     ]
     band_components = [trace_level(s, t) for t in band_values]
     band_regions = [
@@ -465,9 +465,9 @@ def cyclic_order(
     eff = gap / 3.0 if eps is None else min(eps, gap / 3.0)
     if eff <= 0.0:
         raise SlabTooWide(f"slab half-width {eps!r} cannot be shrunk to a proper one")
-    all_f = [float(x) for x in s.f]
-    lo_val = pick_regular_value(v.f - eff, v.f, all_f)
-    hi_val = pick_regular_value(v.f, v.f + eff, all_f)
+    values = level_tables(s).values
+    lo_val = pick_regular_value(v.f - eff, v.f, values)
+    hi_val = pick_regular_value(v.f, v.f + eff, values)
     slab = slab_triangle_components(s, lo_val, hi_val)
     event_root = slab[int(s.star_tri[ctx.critical_vertices[j]])]
 

@@ -10,7 +10,6 @@ cyclic-order conventions downstream inherit this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -41,18 +40,16 @@ class DSU:
             self.parent[rb] = ra
 
 
-def pick_regular_value(lo: float, hi: float, avoid: Iterable[float]) -> float:
-    """Value in (lo, hi) maximizing distance to every value in ``avoid``."""
-    inside = sorted({float(v) for v in avoid if lo < v < hi})
-    stops = [lo] + inside + [hi]
-    best_mid, best_gap = None, -1.0
-    for a, b in zip(stops, stops[1:]):
-        if b - a > best_gap:
-            best_gap = b - a
-            best_mid = 0.5 * (a + b)
-    if best_mid is None or best_gap <= 0.0:
+def pick_regular_value(lo: float, hi: float, values: np.ndarray) -> float:
+    """Value in (lo, hi) maximizing distance to every value in ``values``,
+    which is sorted ascending."""
+    inside = values[np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")]
+    stops = np.concatenate(([lo], inside, [hi]))
+    gaps = np.diff(stops)
+    best = int(np.argmax(gaps))
+    if not gaps[best] > 0.0:
         raise TopologyError(f"empty interval ({lo}, {hi})")
-    return best_mid
+    return float(0.5 * (stops[best] + stops[best + 1]))
 
 
 @dataclass(frozen=True)
@@ -90,12 +87,14 @@ class LevelComponent:
 class LevelTables:
     """Per-surface arrays that the level passes read.
 
-    ``adj`` holds the triangle pair of each interior mesh edge and
-    ``adj_fmin``/``adj_fmax`` the field extent of that shared edge;
-    ``boundary_positions`` maps each boundary edge key to (polygon index,
-    position in the polygon, directed pair).
+    ``values`` holds the distinct field values in ascending order, ``adj``
+    the triangle pair of each interior mesh edge and ``adj_fmin``/``adj_fmax``
+    the field extent of that shared edge; ``boundary_positions`` maps each
+    boundary edge key to (polygon index, position in the polygon, directed
+    pair).
     """
 
+    values: np.ndarray
     fmin: np.ndarray
     fmax: np.ndarray
     adj: np.ndarray
@@ -115,6 +114,7 @@ def level_tables(s: PLSurface) -> LevelTables:
         tri_f = s.f[s.triangles]
         edge_f = s.f[s.interior_ends]
         tables = LevelTables(
+            values=np.unique(s.f),
             fmin=tri_f.min(axis=1),
             fmax=tri_f.max(axis=1),
             adj=s.interior_tris,
@@ -136,50 +136,43 @@ def crossing_param(s: PLSurface, key: EdgeKey, t: float) -> float:
     return (t - s.f[u]) / (s.f[v] - s.f[u])
 
 
-def _tri_chord(s: PLSurface, tri: int, t: float) -> Chord:
-    """Chord of a triangle with vertices on both sides of the level t."""
-    verts = [int(x) for x in s.triangles[tri]]
-    above = [s.f[v] > t for v in verts]
-    # lone vertex: the one on its own side of the level
-    if above.count(True) == 1:
-        i = above.index(True)
-        lone_above = True
-    else:
-        i = above.index(False)
-        lone_above = False
-    x = verts[i]
-    prev_e = edge_key(verts[(i + 2) % 3], x)
-    next_e = edge_key(x, verts[(i + 1) % 3])
-    if lone_above:
-        return Chord(tri, prev_e, next_e)
-    return Chord(tri, next_e, prev_e)
-
-
 def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
     """All components of the level set at the regular value t."""
     if np.any(s.f == t):
         raise LevelOnVertex(f"level {t!r} passes through a mesh vertex")
     tables = level_tables(s)
     crossed = np.flatnonzero((tables.fmin < t) & (tables.fmax > t))
-    chords = {tri: _tri_chord(s, tri, t) for tri in crossed.tolist()}
-
-    def neighbor(tri: int, key: EdgeKey) -> Optional[int]:
-        ts = s.edge_tris[key]
-        if len(ts) == 1:
-            return None
-        return ts[0] if ts[1] == tri else ts[1]
+    corners = s.triangles[crossed]
+    above = s.f[corners] > t
+    # the lone corner is the one on its own side of the level; the chord
+    # crosses the two sides at it, entering through the side into it when
+    # that corner is above.  Side i of triangle t is half-edge 3t+i, from
+    # corner i to corner i+1.
+    lone_above = above.sum(axis=1) == 1
+    lone = np.where(lone_above[:, None], above, ~above).argmax(axis=1)
+    into = (lone + 2) % 3
+    rows = np.arange(len(crossed))
+    tris = crossed.tolist()
+    keys, across = [], []
+    for side in (np.where(lone_above, into, lone), np.where(lone_above, lone, into)):
+        u, v = corners[rows, side], corners[rows, (side + 1) % 3]
+        keys.append(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+        # the triangle across the side, -1 on the boundary
+        across.append(dict(zip(tris, s.twin[3 * crossed + side].tolist())))
+    chords = {tri: Chord(tri, entry, out) for tri, entry, out in zip(tris, *keys)}
+    behind, ahead = across
 
     components: list[LevelComponent] = []
     visited: set[int] = set()
-    for start in chords:
+    for start in tris:
         if start in visited:
             continue
         # walk backwards to a boundary entry (or detect a circle)
         first = start
         is_circle = False
         while True:
-            prev = neighbor(first, chords[first].entry)
-            if prev is None:
+            prev = behind[first]
+            if prev < 0:
                 break
             if prev == start:
                 is_circle = True
@@ -189,8 +182,8 @@ def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
         visited.add(first)
         cur = first
         while True:
-            nxt = neighbor(cur, chords[cur].exit)
-            if nxt is None or nxt == first:
+            nxt = ahead[cur]
+            if nxt < 0 or nxt == first:
                 break
             seq.append(nxt)
             visited.add(nxt)

@@ -52,13 +52,13 @@ class MeasureProfile:
     f_lo: float
     f_hi: float
     cumulative: np.ndarray
+    # the last sample, read once: profiles are never mutated; NaN when there
+    # are no samples, which check() rejects
+    mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.cumulative = np.asarray(self.cumulative, dtype=float)
-
-    @property
-    def mass(self) -> float:
-        return float(self.cumulative[-1])
+        self.mass = float(self.cumulative[-1]) if self.cumulative.size else math.nan
 
     @property
     def samples(self) -> int:

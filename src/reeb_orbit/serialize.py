@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .reebgraph import MeasuredReebGraph, MeasureProfile, ReebEdge, ReebVertex
-from .surface import PLSurface, decode_json, edge_key
+from .surface import JSON_NUMBER, PLSurface, decode_json, edge_key, json_column
 
 
 def graph_to_dict(g: MeasuredReebGraph) -> dict[str, Any]:
@@ -42,7 +42,10 @@ def graph_from_dict(doc: dict[str, Any]) -> MeasuredReebGraph:
         vf = {v.id: v.f for v in vertices}
         edges = []
         for e in doc["edges"]:
-            cum = np.asarray([float(c) for c in e["cumulative"]])
+            samples = e["cumulative"]
+            cum = json_column(samples, JSON_NUMBER, float) if type(samples) is list else None
+            if cum is None:
+                raise ValueError(f"edge {e['id']!r}: cumulative must be a list of numbers")
             profile = MeasureProfile(vf[int(e["tail"])], vf[int(e["head"])], cum)
             edge = ReebEdge(int(e["id"]), int(e["tail"]), int(e["head"]), str(e["style"]), profile)
             # "not <=" rejects a NaN on either side too; an empty profile has
@@ -57,7 +60,7 @@ def graph_from_dict(doc: dict[str, Any]) -> MeasuredReebGraph:
         if not isinstance(orders, dict):
             raise ParseError("cyclic_orders must map vertex ids to edge id lists")
         cyclic = {int(v): tuple(int(x) for x in order) for v, order in orders.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid graph JSON: {exc}") from exc
     g = MeasuredReebGraph(vertices, edges, cyclic)
     g.validate()
@@ -94,7 +97,7 @@ def augmented_from_dict(doc: dict[str, Any]):
             [tuple(int(x) for x in cycle) for cycle in xi_doc["basis"]],
             np.asarray([float(c) for c in xi_doc["coords"]]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid augmented graph JSON: {exc}") from exc
     if sorted(limits) != sorted(e.id for e in g.solid_edges()):
         raise ParseError("circulation block must cover exactly the solid edges")
@@ -134,7 +137,7 @@ def oneform_from_dict(doc: dict[str, Any], surface: PLSurface):
             iu, iv = surface.index_of(u), surface.index_of(v)
             k = edge_key(iu, iv)
             values[k] = float(x) if k == (iu, iv) else -float(x)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid one-form JSON: {exc}") from exc
     return DiscreteOneForm(surface, values)
 

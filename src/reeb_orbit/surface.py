@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -58,8 +60,8 @@ class PLSurface:
 
     ``triangles`` holds internal vertex indices (positions into
     ``vertex_ids``/``f``); the listed order of each triple is the orientation.
-    All derived incidence structures are built eagerly and the surface is
-    treated as immutable afterwards.
+    The derived incidence structures are built eagerly, apart from
+    ``edge_tris``, and the surface is treated as immutable afterwards.
     """
 
     vertex_ids: list[int]
@@ -81,7 +83,8 @@ class PLSurface:
 
     def _check_basic(self) -> None:
         nv = len(self.vertex_ids)
-        if len(set(self.vertex_ids)) != nv:
+        self._index_of_id = dict(zip(self.vertex_ids, range(nv)))
+        if len(self._index_of_id) != nv:
             raise ParseError("duplicate vertex ids")
         if self.f.shape != (nv,):
             raise ParseError("field array must have one value per vertex")
@@ -107,25 +110,30 @@ class PLSurface:
 
     def _build_incidence(self) -> None:
         nv = len(self.vertex_ids)
-        edges, boundary, self.star_tri = _half_edge_incidence(self.triangles, self.vertex_ids)
+        self.edge_rows, boundary, self.star_tri, self.twin = _half_edge_incidence(
+            self.triangles, self.vertex_ids
+        )
         self.on_boundary = np.zeros(nv, dtype=bool)
         self.on_boundary[boundary[:, 0]] = True
         self.boundary_polygons = _boundary_polygons(nv, boundary)
-        # the dict is built once the array temporaries are gone, from column
-        # lists, with one int object per triangle index (peak RSS)
-        tris = list(range(len(self.triangles)))
-        self.edge_tris = {
-            (u, v): [tris[a]] if b < 0 else [tris[a], tris[b]]
-            for u, v, a, b in zip(*(column.tolist() for column in edges.T))
-        }
         # ends and triangle pair of each interior edge, in edge order
-        interior = edges[:, 3] >= 0
-        self.interior_ends = edges[interior, :2].astype(np.int32)
-        self.interior_tris = edges[interior, 2:].astype(np.int32)
+        interior = self.edge_rows[:, 3] >= 0
+        self.interior_ends = self.edge_rows[interior, :2].astype(np.int32)
+        self.interior_tris = self.edge_rows[interior, 2:].astype(np.int32)
         self.boundary_edge_keys = set(map(tuple, np.sort(boundary, axis=1).tolist()))
         self.total_area = float(math.fsum(self.areas.tolist()))
-        self._id_of_index = list(self.vertex_ids)
-        self._index_of_id = dict(zip(self.vertex_ids, range(nv)))
+
+    @cached_property
+    def edge_tris(self) -> dict[EdgeKey, list[int]]:
+        """Each mesh edge (u, v), u < v, with its one or two triangles, in
+        order of first appearance; built on first use, since the level passes
+        read ``edge_rows`` and ``twin`` instead."""
+        # one int object per triangle index (peak RSS)
+        tris = list(range(len(self.triangles)))
+        return {
+            (u, v): [tris[a]] if b < 0 else [tris[a], tris[b]]
+            for u, v, a, b in zip(*(column.tolist() for column in self.edge_rows.T))
+        }
 
     # -- convenience ----------------------------------------------------------
 
@@ -133,7 +141,7 @@ class PLSurface:
         return self._index_of_id[vertex_id]
 
     def id_of(self, index: int) -> int:
-        return self._id_of_index[index]
+        return self.vertex_ids[index]
 
     def to_dict(self) -> dict[str, Any]:
         verts = []
@@ -151,7 +159,7 @@ class PLSurface:
 
 def _half_edge_incidence(
     triangles: np.ndarray, ids: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check a triangle array as an oriented connected surface and derive its
     incidence from one table of half-edges.
 
@@ -160,8 +168,9 @@ def _half_edge_incidence(
     triangle order.  Returns the mesh edges in order of first appearance as
     rows (u, v, first triangle, second triangle or -1), the boundary edges in
     key order, each directed as its triangle traverses it (which puts the
-    surface on the left), and the smallest triangle of each vertex's star.
-    Errors name vertices by their ids in ``ids``.
+    surface on the left), the smallest triangle of each vertex's star, and
+    the twin of each half-edge: the triangle across it, or -1 on the
+    boundary.  Errors name vertices by their ids in ``ids``.
     """
     nv = len(ids)
     # 32-bit vertex indices halve the temporaries (peak RSS); keys need 64
@@ -219,7 +228,11 @@ def _half_edge_incidence(
         [ends[listed], first[listed] // 3, np.where(sides == 2, second // 3, -1)[listed]]
     )
     star_tri = np.unique(src, return_index=True)[1] // 3
-    return edges, boundary, star_tri
+    twin = np.full(len(order), -1, dtype=np.int32)
+    paired = sides == 2
+    twin[first[paired]] = second[paired] // 3
+    twin[second[paired]] = first[paired] // 3
+    return edges, boundary, star_tri, twin
 
 
 def _boundary_polygons(nv: int, boundary: np.ndarray) -> list[list[tuple[int, int]]]:
@@ -403,7 +416,7 @@ class TopologySummary:
 
 
 def topology_summary(s: PLSurface) -> TopologySummary:
-    chi = len(s.vertex_ids) - len(s.edge_tris) + len(s.triangles)
+    chi = len(s.vertex_ids) - len(s.edge_rows) + len(s.triangles)
     b = len(s.boundary_polygons)
     two_g = 2 - chi - b
     if two_g < 0 or two_g % 2 != 0:
@@ -415,10 +428,10 @@ def topology_summary(s: PLSurface) -> TopologySummary:
 
 
 def decode_json(source: Any, noun: str) -> Any:
-    """The decoded document of bytes, a JSON string or a file-like object; an
-    already decoded dict is returned as it is.  ``noun`` names the format in
-    the ParseError message."""
-    if isinstance(source, dict):
+    """The decoded document of bytes, a JSON string or a file-like object;
+    anything else is taken as an already decoded document and returned as it
+    is.  ``noun`` names the format in the ParseError message."""
+    if not isinstance(source, (str, bytes, bytearray)) and not hasattr(source, "read"):
         return source
     try:
         if hasattr(source, "read"):
@@ -430,56 +443,106 @@ def decode_json(source: Any, noun: str) -> Any:
         raise ParseError(f"invalid {noun} JSON: {exc}") from exc
 
 
+# JSON types of the numeric fields.  json decodes true/false as bool, a
+# subclass of int that numpy converts silently, so types are compared exactly.
+JSON_INT = frozenset({int})
+JSON_NUMBER = frozenset({int, float})
+
+
+def json_column(values: list, types: frozenset, dtype: Any) -> Optional[np.ndarray]:
+    """``values`` as one array of ``dtype``, or None when a value is not of
+    one of the JSON ``types`` or does not fit the dtype."""
+    if not set(map(type, values)) <= types:
+        return None
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return None
+
+
+def _vertex_columns(entries: list) -> Optional[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Ids (as a list and as an array) and field values of vertex entries, or
+    None when an entry is bad."""
+    try:
+        ids = [entry["id"] for entry in entries]
+        f = json_column([entry["f"] for entry in entries], JSON_NUMBER, float)
+    except (KeyError, TypeError):
+        return None
+    id_array = json_column(ids, JSON_INT, np.int64)
+    if id_array is None or f is None:
+        return None
+    return ids, id_array, f
+
+
+def _triangle_columns(
+    entries: list, sorted_ids: np.ndarray, order: np.ndarray
+) -> Optional[tuple[bool, np.ndarray, np.ndarray]]:
+    """Whether every entry has three corners, the corner positions (flat) and
+    the areas of triangle entries, or None when an entry is bad.  A corner is
+    found in the ids sorted by ``order``."""
+    try:
+        corners = [entry["v"] for entry in entries]
+        areas = json_column([entry["area"] for entry in entries], JSON_NUMBER, float)
+    except (KeyError, TypeError):
+        return None
+    if areas is None or not set(map(type, corners)) <= {list}:
+        return None
+    flat = json_column([*chain.from_iterable(corners)], JSON_INT, np.int64)
+    if flat is None or (flat.size and not sorted_ids.size):
+        return None
+    at = np.searchsorted(sorted_ids, flat).clip(max=max(len(sorted_ids) - 1, 0))
+    if not np.array_equal(sorted_ids[at], flat):
+        return None
+    return set(map(len, corners)) <= {3}, order[at], areas
+
+
 def load_mesh(source: Any) -> PLSurface:
     """Parse the mesh JSON format into a validated surface.
 
     ``source`` may be bytes, a JSON string, a file-like object, or an already
-    decoded dict.
+    decoded dict.  Ids and corners must be JSON integers, and ``f``, ``area``
+    and ``xy`` JSON numbers.  Each field is taken as one column; only on a
+    bad entry are the entries scanned, to name the first one.
     """
     doc = decode_json(source, "mesh")
     if not isinstance(doc, dict) or "vertices" not in doc or "triangles" not in doc:
         raise ParseError("mesh JSON must contain 'vertices' and 'triangles'")
-    if not isinstance(doc["vertices"], list) or not isinstance(doc["triangles"], list):
+    verts, tris = doc["vertices"], doc["triangles"]
+    if not isinstance(verts, list) or not isinstance(tris, list):
         raise ParseError("mesh JSON 'vertices' and 'triangles' must be lists")
 
-    ids: list[int] = []
-    fvals: list[float] = []
-    coords: list[Optional[list[float]]] = []
-    for entry in doc["vertices"]:
-        try:
-            ids.append(int(entry["id"]))
-            fvals.append(float(entry["f"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad vertex entry {entry!r}") from exc
-        coords.append(entry.get("xy"))
-    index = {vid: i for i, vid in enumerate(ids)}
-    if len(index) != len(ids):
+    columns = _vertex_columns(verts)
+    if columns is None:
+        bad = next(entry for entry in verts if _vertex_columns([entry]) is None)
+        raise ParseError(f"bad vertex entry {bad!r}")
+    ids, id_array, f = columns
+    order = np.argsort(id_array)
+    sorted_ids = id_array[order]
+    if np.any(sorted_ids[1:] == sorted_ids[:-1]):
         raise ParseError("duplicate vertex ids")
 
-    tris: list[list[int]] = []
-    areas: list[float] = []
-    for entry in doc["triangles"]:
-        try:
-            triple = [index[int(v)] for v in entry["v"]]
-            area = float(entry["area"])
-        except KeyError as exc:
-            raise ParseError(f"bad triangle entry {entry!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad triangle entry {entry!r}") from exc
-        if len(triple) != 3:
-            raise ParseError(f"triangle must reference 3 vertices, got {entry!r}")
-        tris.append(triple)
-        areas.append(area)
+    columns = _triangle_columns(tris, sorted_ids, order)
+    if columns is None or not columns[0]:
+        # an entry that fails on its own is at fault, so the scan raises
+        for entry in tris:
+            one = _triangle_columns([entry], sorted_ids, order)
+            if one is None:
+                raise ParseError(f"bad triangle entry {entry!r}")
+            if not one[0]:
+                raise ParseError(f"triangle must reference 3 vertices, got {entry!r}")
+    _, corners, areas = columns
 
     xy = None
-    if all(c is not None for c in coords) and coords:
-        try:
-            xy = np.array(coords, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad vertex coordinates: {exc}") from exc
-        if xy.shape != (len(coords), 2):
+    coords = [entry.get("xy") for entry in verts]
+    if coords and None not in coords:
+        if not set(map(type, coords)) <= {list} or set(map(len, coords)) != {2}:
             raise ParseError("every vertex xy must be a coordinate pair")
-    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int).reshape(-1, 3), np.array(areas), xy)
+        xy = json_column([*chain.from_iterable(coords)], JSON_NUMBER, float)
+        if xy is None:
+            bad = next(e for e in verts if json_column(e["xy"], JSON_NUMBER, float) is None)
+            raise ParseError(f"bad vertex entry {bad!r}")
+        xy = xy.reshape(-1, 2)
+    return PLSurface(ids, f, corners.reshape(-1, 3), areas, xy)
 
 
 def remap(s: PLSurface, map_spec: dict[str, Any]) -> PLSurface:

@@ -257,6 +257,43 @@ def test_mesh_members_that_are_not_lists_exit_2(capsys, tmp_path, member):
         assert json.loads(out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "name, edit, argv",
+    [
+        # int() or float() used to coerce each edited value back to the one
+        # it replaced, so these files loaded as the originals and exited 0
+        ("disk_linear.json", lambda d: d["vertices"][5].update(id=float(d["vertices"][5]["id"])),
+         ["validate"]),
+        ("disk_linear.json", lambda d: d["triangles"][0].update(area=str(d["triangles"][0]["area"])),
+         ["extract"]),
+        ("disk_linear.json", lambda d: d["vertices"][0].update(f=False), ["validate"]),
+        ("fig2.json", lambda d: d["edges"][0]["cumulative"].__setitem__(0, False), ["invariants"]),
+        ("fig2.json", lambda d: d["edges"][1]["cumulative"].__setitem__(3, str(d["edges"][1]["cumulative"][3])),
+         ["circulation", "solve"]),
+    ],
+    ids=["id-float", "area-str", "f-bool", "sample-bool", "sample-str"],
+)
+def test_non_numeric_json_fields_exit_2(capsys, tmp_path, name, edit, argv):
+    path = _edited_copy(tmp_path, name, edit)
+    code, out, _ = run(capsys, *argv, str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("pair", [[0.5], [10**400, 0.0]], ids=["short", "huge"])
+def test_bad_circulation_pairs_exit_2(capsys, tmp_path, pair):
+    # a one-element pair raised IndexError and a huge integer OverflowError
+    data = tmp_path / "targets.json"
+    data.write_text(json.dumps({"circulation": {"1": pair}}))
+    for argv in (
+        ["circulation", "check", str(DATA / "fig2.json"), str(data)],
+        ["synthesize", str(DATA / "disk_linear.json"), str(DATA / "fig2.json"), str(data)],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ReebOrbitError"
+
+
 def test_invariants_builds_no_surface(capsys, monkeypatch):
     from reeb_orbit import realization
 

@@ -1,12 +1,17 @@
+import copy
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from reeb_orbit import (
     DataError,
+    ParseError,
     TopologyError,
     UnsupportedMap,
     load_mesh,
@@ -15,7 +20,9 @@ from reeb_orbit import (
     validate_simple_morse,
 )
 from reeb_orbit import models
+from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.models import square_mesh
+from reeb_orbit.realization import realize
 from reeb_orbit.surface import (
     CriticalPoint,
     PLSurface,
@@ -221,6 +228,112 @@ def test_square_mesh_valid():
     assert validate_simple_morse(s).is_simple_morse
     t = topology_summary(s)
     assert (t.euler_characteristic, t.boundary_component_count) == (1, 1)
+
+
+def _set_xy(doc, coords):
+    for entry, xy in zip(doc["vertices"], coords):
+        entry["xy"] = xy
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # each of these was coerced (int() or float()) and loaded
+        (lambda d: d["triangles"][0].update(v=[1.7, 2, 3]),
+         "bad triangle entry {'v': [1.7, 2, 3], 'area': 0.5}"),
+        (lambda d: d["triangles"][0].update(v=[True, 2, 3]),
+         "bad triangle entry {'v': [True, 2, 3], 'area': 0.5}"),
+        (lambda d: d["triangles"][1].update(v=[1, "3", 4]),
+         "bad triangle entry {'v': [1, '3', 4], 'area': 0.5}"),
+        (lambda d: d["triangles"][1].update(area="0.5"),
+         "bad triangle entry {'v': [1, 3, 4], 'area': '0.5'}"),
+        (lambda d: d["vertices"][2].update(f=True), "bad vertex entry {'id': 3, 'f': True}"),
+        (lambda d: d["vertices"][2].update(f="1.5"), "bad vertex entry {'id': 3, 'f': '1.5'}"),
+        # these two became id 1 and failed as "duplicate vertex ids"
+        (lambda d: d["vertices"][1].update(id=1.9), "bad vertex entry {'id': 1.9, 'f': 1.0}"),
+        (lambda d: d["vertices"][1].update(id=True), "bad vertex entry {'id': True, 'f': 1.0}"),
+        (lambda d: _set_xy(d, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [False, 1.0]]),
+         "bad vertex entry {'id': 4, 'f': 0.5, 'xy': [False, 1.0]}"),
+    ],
+    ids=["corner-float", "corner-bool", "corner-str", "area-str", "f-bool", "f-str",
+         "id-float", "id-bool", "xy-bool"],
+)
+def test_mesh_fields_must_be_json_numbers(edit, message):
+    doc = mesh_doc(
+        [(1, 0.0), (2, 1.0), (3, 1.5), (4, 0.5)],
+        [((1, 2, 3), 0.5), ((1, 3, 4), 0.5)],
+    )
+    edit(doc)
+    with pytest.raises(ParseError) as info:
+        load_mesh(doc)
+    assert str(info.value) == message
+
+
+def test_first_bad_triangle_entry_is_named():
+    # a short corner list before a bad area, and the reverse
+    doc = mesh_doc([(1, 0.0), (2, 1.0), (3, 1.5), (4, 0.5)], [((1, 2), 0.5), ((1, 3, 4), -1)])
+    doc["triangles"][1]["area"] = None
+    with pytest.raises(ParseError, match=r"^triangle must reference 3 vertices, got \{'v': \[1, 2\]"):
+        load_mesh(doc)
+    doc["triangles"].reverse()
+    with pytest.raises(ParseError, match=r"^bad triangle entry \{'v': \[1, 3, 4\], 'area': None\}"):
+        load_mesh(doc)
+
+
+# -- reference loader: the per-entry conversion -----------------------------------
+
+
+def reference_load_mesh(doc):
+    """The per-entry loader that ``load_mesh`` replaced, kept as its oracle on
+    valid meshes."""
+    ids, fvals, coords = [], [], []
+    for entry in doc["vertices"]:
+        ids.append(int(entry["id"]))
+        fvals.append(float(entry["f"]))
+        coords.append(entry.get("xy"))
+    index = {vid: i for i, vid in enumerate(ids)}
+    assert len(index) == len(ids)
+    tris, areas = [], []
+    for entry in doc["triangles"]:
+        triple = [index[int(v)] for v in entry["v"]]
+        assert len(triple) == 3
+        tris.append(triple)
+        areas.append(float(entry["area"]))
+    xy = None
+    if all(c is not None for c in coords) and coords:
+        xy = np.array(coords, dtype=float)
+    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int).reshape(-1, 3), np.array(areas), xy)
+
+
+@functools.lru_cache(maxsize=None)
+def realized_mesh(seed):
+    return realize(random_measured_graph(seed), resolution=4).surface.to_dict()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(
+    st.sampled_from((20000, 20001, 20002, 20003)),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_load_mesh_matches_reference_loader(seed, rng, with_xy):
+    doc = copy.deepcopy(realized_mesh(seed))
+    fresh = rng.sample(range(-(2**40), 2**40), len(doc["vertices"]))
+    relabel = {v["id"]: new for v, new in zip(doc["vertices"], fresh)}
+    for v in doc["vertices"]:
+        v["id"] = relabel[v["id"]]
+        if not with_xy:
+            del v["xy"]
+    for t in doc["triangles"]:
+        t["v"] = [relabel[x] for x in t["v"]]
+    rng.shuffle(doc["vertices"])
+    rng.shuffle(doc["triangles"])
+    got, want = load_mesh(json.dumps(doc)), reference_load_mesh(doc)
+    assert got.vertex_ids == want.vertex_ids
+    for name in ("f", "triangles", "areas"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.xy is None) == (want.xy is None) == (not with_xy)
+    assert got.xy is None or np.array_equal(got.xy, want.xy)
 
 
 # -- reference validation: the per-vertex link walk ------------------------------

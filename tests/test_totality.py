@@ -1,0 +1,182 @@
+"""Totality of the input loaders and the CLI on arbitrary JSON-shaped input.
+
+Every loader either returns or raises a ``ReebOrbitError`` subclass, and
+``cli.main`` returns 0, 1 or 2, whatever the document holds: the documents are
+drawn freely from JSON values over the format's own keys, and as valid
+documents with one value replaced.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reeb_orbit import ParseError, ReebOrbitError, cli
+from reeb_orbit.models import square_mesh
+from reeb_orbit.serialize import (
+    augmented_from_dict,
+    graph_from_dict,
+    load_graph,
+    oneform_from_dict,
+)
+from reeb_orbit.surface import load_mesh
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
+KEYS = (
+    "vertices", "triangles", "id", "f", "xy", "v", "area", "edges", "tail", "head",
+    "style", "mass", "cumulative", "type", "orientation", "cyclic_orders",
+    "circulation", "xi", "basis", "coords", "1", "2", "1-2",
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["", "1", "0.5", "solid", "dashed", "I", "as-in-table"])
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=25,
+)
+DOCS = st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=6) | VALUES
+VALID = {
+    "mesh": json.loads((DATA / "disk_linear.json").read_text()),
+    "graph": json.loads((DATA / "fig2.json").read_text()),
+}
+SURFACE = square_mesh(2)
+FORM = {"edges": {f"{u}-{v}": 0.5 for u, v in (
+    sorted((SURFACE.id_of(a), SURFACE.id_of(b))) for a, b in SURFACE.edge_tris
+)}}
+VALID["form"] = FORM
+VALID["targets"] = {
+    "circulation": {str(e["id"]): [0.0, 0.5] for e in VALID["graph"]["edges"]},
+    "xi": {"basis": [], "coords": []},
+}
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _paths(v, prefix + (i,))
+
+
+@st.composite
+def mutated(draw, name):
+    """A valid document of the named kind with one value replaced."""
+    doc = copy.deepcopy(VALID[name])
+    paths = list(_paths(doc))
+    path = paths[draw(st.integers(0, len(paths) - 1))]
+    value = draw(VALUES)
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+def _total(fn, doc) -> None:
+    try:
+        fn(doc)
+    except ReebOrbitError:
+        pass
+
+
+PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+
+
+@PROPERTY
+@given(st.one_of(DOCS, mutated("mesh")))
+def test_load_mesh_is_total(doc):
+    _total(load_mesh, doc)
+    _total(load_mesh, json.dumps(doc))
+
+
+@PROPERTY
+@given(st.one_of(DOCS, mutated("graph")))
+def test_load_graph_is_total(doc):
+    _total(graph_from_dict, doc)
+    _total(load_graph, json.dumps(doc))
+
+
+@PROPERTY
+@given(st.one_of(DOCS, mutated("graph")))
+def test_augmented_from_dict_is_total(doc):
+    if isinstance(doc, dict):
+        doc = dict(VALID["graph"], **{k: v for k, v in doc.items() if k in ("circulation", "xi")})
+    _total(augmented_from_dict, doc)
+
+
+@PROPERTY
+@given(st.one_of(DOCS, mutated("form")))
+def test_oneform_from_dict_is_total(doc):
+    _total(lambda d: oneform_from_dict(d, SURFACE), doc)
+
+
+def _with(doc, key, index, **fields):
+    doc = copy.deepcopy(doc)
+    doc[key][index].update(fields)
+    return doc
+
+
+GRAPH = VALID["graph"]
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        # each raised TypeError, AttributeError, IndexError or OverflowError
+        (load_mesh, None),
+        (load_mesh, [1]),
+        (load_mesh, {"vertices": [{"id": 1, "f": 10**400}], "triangles": []}),
+        (graph_from_dict, _with(GRAPH, "vertices", 0, id=float("inf"))),
+        (graph_from_dict, _with(GRAPH, "vertices", 0, f=10**400)),
+        (graph_from_dict, _with(GRAPH, "edges", 0, cumulative=[0, 10**400])),
+        (augmented_from_dict, dict(GRAPH, circulation=None)),
+        (augmented_from_dict, dict(GRAPH, circulation={"1": [0.5]})),
+        (lambda d: oneform_from_dict(d, SURFACE), {"edges": None}),
+        (lambda d: oneform_from_dict(d, SURFACE), {"edges": {"1-2": 10**400}}),
+    ],
+)
+def test_loader_faults_are_parse_errors(load, doc):
+    with pytest.raises(ParseError):
+        load(doc)
+
+
+COMMANDS = (
+    ("validate", "mesh"),
+    ("extract", "mesh"),
+    ("invariants", "graph"),
+    ("dot", "graph"),
+    ("circulation solve", "graph"),
+    ("compare", "graph"),
+    ("circulation check", "targets"),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(COMMANDS), st.data())
+def test_cli_exit_codes_are_total(tmp_path_factory, command, data):
+    argv, kind = command
+    doc = data.draw(st.one_of(DOCS, mutated(kind)))
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = argv.split() + [str(path)] * (2 if argv == "compare" else 1)
+    if kind == "targets":
+        argv.insert(-1, str(DATA / "fig2.json"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
