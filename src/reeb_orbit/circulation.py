@@ -33,36 +33,30 @@ from .surface import EdgeKey, PLSurface, edge_key
 
 @dataclass
 class DiscreteOneForm:
-    """Cochain on mesh edges; value is the integral from the lower to the
-    higher internal vertex index."""
+    """Cochain on mesh edges: ``values[e]`` is the integral over edge e of
+    ``surface.edge_rows``, from its lower to its higher internal vertex
+    index."""
 
     surface: PLSurface
-    values: dict[EdgeKey, float]
-
-    def __post_init__(self) -> None:
-        missing = set(self.surface.edge_tris) - set(self.values)
-        for k in sorted(missing):
-            self.values[k] = 0.0
-
-    def directed(self, u: int, v: int) -> float:
-        k = edge_key(u, v)
-        return self.values[k] if k == (u, v) else -self.values[k]
+    values: np.ndarray
 
     def scaled(self, factor: float) -> "DiscreteOneForm":
-        return DiscreteOneForm(self.surface, {k: factor * x for k, x in self.values.items()})
+        return DiscreteOneForm(self.surface, factor * self.values)
 
     def plus(self, other: "DiscreteOneForm") -> "DiscreteOneForm":
-        return DiscreteOneForm(
-            self.surface, {k: x + other.values[k] for k, x in self.values.items()}
-        )
+        return DiscreteOneForm(self.surface, self.values + other.values)
 
 
 def exact_form(s: PLSurface, potential: np.ndarray) -> DiscreteOneForm:
     """Coboundary of a vertex potential; vanishes on every closed loop."""
-    values = {
-        (u, v): float(potential[v] - potential[u]) for (u, v) in s.edge_tris
-    }
-    return DiscreteOneForm(s, values)
+    potential = np.asarray(potential)
+    values = potential[s.edge_rows[:, 1]] - potential[s.edge_rows[:, 0]]
+    return DiscreteOneForm(s, values.astype(float))
+
+
+def _side_signs(s: PLSurface) -> np.ndarray:
+    """+1 where half-edge 3t+i runs along its edge's orientation, else -1."""
+    return np.where(s.triangles < s.triangles[:, [1, 2, 0]], 1.0, -1.0).ravel()
 
 
 @dataclass
@@ -226,11 +220,8 @@ def solve_circulations(g: MeasuredReebGraph) -> CirculationSolveResult:
 
 def vorticity(s: PLSurface, a: DiscreteOneForm) -> np.ndarray:
     """Per-triangle curl: boundary circulation divided by the area weight."""
-    out = np.empty(len(s.triangles))
-    for t, (i, j, k) in enumerate(s.triangles):
-        circ = a.directed(int(i), int(j)) + a.directed(int(j), int(k)) + a.directed(int(k), int(i))
-        out[t] = circ / float(s.areas[t])
-    return out
+    sides = (_side_signs(s) * a.values[s.edge_of]).reshape(-1, 3)
+    return (sides[:, 0] + sides[:, 1] + sides[:, 2]) / s.areas
 
 
 def _bary_of_crossing(s: PLSurface, key: EdgeKey, t: float) -> dict[int, float]:
@@ -241,32 +232,32 @@ def _bary_of_crossing(s: PLSurface, key: EdgeKey, t: float) -> dict[int, float]:
 
 def _chord_coeffs(
     s: PLSurface, tri: int, lam_p: dict[int, float], lam_q: dict[int, float]
-) -> dict[EdgeKey, float]:
-    """Coefficients of the interpolated line integral along a straight chord.
+) -> dict[int, float]:
+    """Coefficients, by edge number, of the interpolated line integral along a
+    straight chord.
 
     For triangle side (i, j) the interpolant contributes
     lam_i(P) lam_j(Q) - lam_j(P) lam_i(Q) times the side's cochain value.
     """
-    a, b, c = (int(x) for x in s.triangles[tri])
-    coeffs: dict[EdgeKey, float] = {}
-    for (i, j) in ((a, b), (b, c), (c, a)):
+    a, b, c = s.triangles[tri].tolist()
+    coeffs: dict[int, float] = {}
+    for side, (i, j) in zip(s.edge_of[3 * tri : 3 * tri + 3].tolist(), ((a, b), (b, c), (c, a))):
         w = lam_p.get(i, 0.0) * lam_q.get(j, 0.0) - lam_p.get(j, 0.0) * lam_q.get(i, 0.0)
         if w == 0.0:
             continue
-        k = edge_key(i, j)
-        sign = 1.0 if k == (i, j) else -1.0
-        coeffs[k] = coeffs.get(k, 0.0) + sign * w
+        coeffs[side] = coeffs.get(side, 0.0) + (w if i < j else -w)
     return coeffs
 
 
-def _accumulate(total: dict[EdgeKey, float], part: dict[EdgeKey, float], factor: float = 1.0) -> None:
+def _accumulate(total: dict[int, float], part: dict[int, float], factor: float = 1.0) -> None:
     for k, w in part.items():
         total[k] = total.get(k, 0.0) + factor * w
 
 
-def polyline_coeffs(s: PLSurface, comp: LevelComponent) -> dict[EdgeKey, float]:
-    """Linear functional computing the integral along a traced level polyline."""
-    out: dict[EdgeKey, float] = {}
+def polyline_coeffs(s: PLSurface, comp: LevelComponent) -> dict[int, float]:
+    """Linear functional, by edge number, computing the integral along a
+    traced level polyline."""
+    out: dict[int, float] = {}
     for ch in comp.chords:
         lam_p = _bary_of_crossing(s, ch.entry, comp.t)
         lam_q = _bary_of_crossing(s, ch.exit, comp.t)
@@ -274,8 +265,10 @@ def polyline_coeffs(s: PLSurface, comp: LevelComponent) -> dict[EdgeKey, float]:
     return out
 
 
-def _evaluate(a: DiscreteOneForm, coeffs: dict[EdgeKey, float]) -> float:
-    return float(math.fsum(w * a.values[k] for k, w in sorted(coeffs.items())))
+def _evaluate(a: DiscreteOneForm, coeffs: dict[int, float]) -> float:
+    edges = sorted(coeffs)
+    weights = np.array([coeffs[e] for e in edges])
+    return float(math.fsum((weights * a.values[edges]).tolist()))
 
 
 def circulation_from_form(
@@ -313,12 +306,13 @@ class LiftedEdge:
     start_node: Node
     end_node: Node
 
-    def coeffs(self, s: PLSurface) -> dict[EdgeKey, float]:
-        out: dict[EdgeKey, float] = {}
-        for (u, v), s0, s1 in self.pieces:
-            k = edge_key(u, v)
-            sign = 1.0 if k == (u, v) else -1.0
-            out[k] = out.get(k, 0.0) + sign * (s1 - s0)
+    def coeffs(self, s: PLSurface) -> dict[int, float]:
+        """The integral along the pieces, by edge number."""
+        ends = np.array([direction for direction, _, _ in self.pieces]).reshape(-1, 2)
+        edges = s.edge_number(ends[:, 0], ends[:, 1]).tolist()
+        out: dict[int, float] = {}
+        for e, ((u, v), s0, s1) in zip(edges, self.pieces):
+            out[e] = out.get(e, 0.0) + (s1 - s0 if u < v else -(s1 - s0))
         return out
 
 
@@ -327,14 +321,14 @@ class SingularTree:
     vertex_id: int
     nodes: list[Node]
     # adjacency with the functional of each tree edge, keyed by (node, node)
-    edges: list[tuple[Node, Node, dict[EdgeKey, float]]]
+    edges: list[tuple[Node, Node, dict[int, float]]]
 
-    def path_coeffs(self, a: Node, b: Node) -> dict[EdgeKey, float]:
+    def path_coeffs(self, a: Node, b: Node) -> dict[int, float]:
         arcs = [(x, y) for x, y, _ in self.edges] + [(b, a)]
         cycles = linalg.fundamental_cycles(arcs)
         if not cycles or cycles[-1][0] != len(self.edges):
             raise InvalidGraph(f"singular level of vertex {self.vertex_id} is not connected")
-        out: dict[EdgeKey, float] = {}
+        out: dict[int, float] = {}
         # the tree path from a to b, accumulated from its b end
         for j, sign in reversed(cycles[-1][1]):
             _accumulate(out, self.edges[j][2], sign)
@@ -440,9 +434,10 @@ def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
 
 def _level_graph(
     s: PLSurface, ctx: ExtractionContext, vid: int
-) -> tuple[Node, list[tuple[Node, Node, dict[EdgeKey, float]]]]:
+) -> tuple[Node, list[tuple[Node, Node, dict[int, float]]]]:
     """The critical vertex of graph vertex vid and the edges of its level set:
-    mesh edges on the level and chords across the triangles it cuts."""
+    mesh edges on the level and chords across the triangles it cuts, each with
+    its functional by edge number."""
     j = vid - 1
     w = ctx.critical_vertices[j]
     c = ctx.critical_values[j]
@@ -482,8 +477,8 @@ def _level_graph(
                 chords.append(
                     (("x", crossed[0]), ("x", crossed[1]), _chord_coeffs(s, tri, lam_p, lam_q))
                 )
-    edges: list[tuple[Node, Node, dict[EdgeKey, float]]] = [
-        (("v", u), ("v", v), {(u, v): 1.0}) for u, v in sorted(level_keys)
+    edges: list[tuple[Node, Node, dict[int, float]]] = [
+        (("v", u), ("v", v), {int(s.edge_number(u, v)): 1.0}) for u, v in sorted(level_keys)
     ]
     edges.extend(chords)
     return ("v", w), edges
@@ -541,10 +536,10 @@ def cycle_edge_vector(cycle: tuple[int, ...]) -> dict[int, int]:
 
 def _lifted_cycle_coeffs(
     s: PLSurface, g: MeasuredReebGraph, lifted: LiftedGraph, cycle: tuple[int, ...]
-) -> dict[EdgeKey, float]:
-    """Functional integrating a form along the lifted representative of a
-    dashed cycle."""
-    out: dict[EdgeKey, float] = {}
+) -> dict[int, float]:
+    """Functional, by edge number, integrating a form along the lifted
+    representative of a dashed cycle."""
+    out: dict[int, float] = {}
     n = len(cycle)
     for i, signed in enumerate(cycle):
         eid = abs(signed)
@@ -656,32 +651,20 @@ def synthesize_form(
         if abs(tm) > 1e-9 * scale:
             raise InfeasibleTarget(f"closed graph with nonzero total moment {tm:g}")
 
-    keys = sorted(s.edge_tris)
-    col = {k: i for i, k in enumerate(keys)}
+    ne, nt = len(s.edge_rows), len(s.triangles)
 
     # curl rows; on closed surfaces spread the quadrature defect uniformly
-    tri_targets = []
-    for t, (i, j, k) in enumerate(s.triangles):
-        fbar = (s.f[int(i)] + s.f[int(j)] + s.f[int(k)]) / 3.0
-        tri_targets.append(float(s.areas[t]) * fbar)
-    if not s.boundary_edge_keys:
-        defect = math.fsum(tri_targets)
-        tri_targets = [
-            m - defect * float(s.areas[t]) / s.total_area for t, m in enumerate(tri_targets)
-        ]
-    di, dj, dx = [], [], []
-    for t, (i, j, k) in enumerate(s.triangles):
-        for (u, v) in ((int(i), int(j)), (int(j), int(k)), (int(k), int(i))):
-            kk = edge_key(u, v)
-            di.append(t)
-            dj.append(col[kk])
-            dx.append(1.0 if kk == (u, v) else -1.0)
-    D = scipy.sparse.csr_matrix((dx, (di, dj)), shape=(len(s.triangles), len(keys)))
-    m = np.array(tri_targets)
+    tri_f = s.f[s.triangles]
+    m = s.areas * ((tri_f[:, 0] + tri_f[:, 1] + tri_f[:, 2]) / 3.0)
+    if not s.boundary_polygons:
+        m = m - math.fsum(m.tolist()) * s.areas / s.total_area
+    D = scipy.sparse.csr_matrix(
+        (_side_signs(s), (np.repeat(np.arange(nt), 3), s.edge_of)), shape=(nt, ne)
+    )
 
     # hard constraint rows: one probe circulation per solid edge, one integral
     # per dashed basis cycle
-    con_rows: list[dict[EdgeKey, float]] = []
+    con_rows: list[dict[int, float]] = []
     con_rhs: list[float] = []
     probe_moments: list[float] = []  # profile moment below each probe level
     solids = g.solid_edges()
@@ -700,14 +683,13 @@ def synthesize_form(
     for r, coeffs in enumerate(con_rows):
         for k, w in sorted(coeffs.items()):
             ci.append(r)
-            cj.append(col[k])
+            cj.append(k)
             cx.append(w)
     nc = len(con_rows)
-    C = scipy.sparse.csr_matrix((cx, (ci, cj)), shape=(nc, len(keys)))
+    C = scipy.sparse.csr_matrix((cx, (ci, cj)), shape=(nc, ne))
     d = np.array(con_rhs)
 
     # KKT system: least-squares curl with tiny ridge, constraints exact
-    ne = len(keys)
     ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))) if len(m) else 1.0)
     top = scipy.sparse.hstack([D.T @ D + ridge * scipy.sparse.identity(ne), C.T])
     bottom = scipy.sparse.hstack(
@@ -720,8 +702,7 @@ def synthesize_form(
         kkt = top.tocsc()
         rhs_full = D.T @ m
     x_full = scipy.sparse.linalg.spsolve(kkt, rhs_full)
-    x = x_full[:ne]
-    form = DiscreteOneForm(s, {k: float(x[col[k]]) for k in keys})
+    form = DiscreteOneForm(s, x_full[:ne])
 
     # verify the prioritized constraints were met, reading each tail limit
     # back from its row as augment() would

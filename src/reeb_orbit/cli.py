@@ -14,10 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import circulation, equivalence, fuzz, graph_core, realization, serialize
-from .errors import ReebOrbitError
+from .errors import ParseError, ReebOrbitError
 from .extraction import extract_reeb
 from .surface import load_mesh, topology_summary, validate_simple_morse
 
@@ -37,8 +35,6 @@ def _read_graph(path: str):
 
 
 def _read_json(path: str) -> dict:
-    from .errors import ParseError
-
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -125,10 +121,9 @@ def cmd_circulation(args) -> int:
     if not args.data:
         raise ReebOrbitError("circulation check needs a data file")
     doc = _read_json(args.data)
-    try:
-        limits = {int(k): (float(v[0]), float(v[1])) for k, v in doc["circulation"].items()}
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ReebOrbitError(f"invalid circulation data: {exc}") from exc
+    if not isinstance(doc, dict) or "circulation" not in doc:
+        raise ParseError("circulation data must hold a 'circulation' object")
+    limits = serialize.limits_from_dict(doc["circulation"])
     check = circulation.check_circulation(
         g, circulation.CirculationFunction(limits), tol=args.tol
     )
@@ -156,17 +151,12 @@ def cmd_synthesize(args) -> int:
     s = _read_mesh(args.mesh)
     g = _read_graph(args.graph)
     targets = _read_json(args.targets)
-    try:
-        target_c = circulation.CirculationFunction(
-            {int(k): (float(v[0]), float(v[1])) for k, v in targets.get("circulation", {}).items()}
-        )
-        xi_doc = targets.get("xi", {"basis": [], "coords": []})
-        target_xi = circulation.XiClass(
-            [tuple(int(x) for x in cyc) for cyc in xi_doc["basis"]],
-            np.asarray([float(c) for c in xi_doc["coords"]]),
-        )
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ReebOrbitError(f"invalid synthesis targets: {exc}") from exc
+    if not isinstance(targets, dict):
+        raise ParseError("synthesis targets must be a JSON object")
+    target_c = circulation.CirculationFunction(
+        serialize.limits_from_dict(targets.get("circulation", {}))
+    )
+    target_xi = serialize.xi_from_dict(targets.get("xi", {"basis": [], "coords": []}))
     form = circulation.synthesize_form(s, g, target_c, target_xi)
     _write_or_print(serialize.oneform_to_dict(form), args.output)
     return 0

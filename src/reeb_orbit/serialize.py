@@ -3,13 +3,27 @@
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 import numpy as np
 
 from .errors import DataError, ParseError
 from .reebgraph import MeasuredReebGraph, MeasureProfile, ReebEdge, ReebVertex
-from .surface import JSON_NUMBER, PLSurface, decode_json, edge_key, json_column
+from .surface import JSON_INT, JSON_NUMBER, PLSurface, decode_json, json_column
+
+# ids in JSON object keys; \d is ASCII only, as int() would take other digits
+ID_KEY = re.compile(r"-?\d+", re.ASCII)
+EDGE_KEY = re.compile(r"(-?\d+)-(-?\d+)", re.ASCII)
+
+
+def _finite_column(values: Any, what: str) -> np.ndarray:
+    """``values`` as a float array, or a ParseError naming ``what`` unless it
+    is a list of finite JSON numbers."""
+    column = json_column(values, JSON_NUMBER, float) if type(values) is list else None
+    if column is None or not np.isfinite(column).all():
+        raise ParseError(f"{what} must be a list of finite JSON numbers")
+    return column
 
 
 def graph_to_dict(g: MeasuredReebGraph) -> dict[str, Any]:
@@ -83,26 +97,44 @@ def augmented_to_dict(aug) -> dict[str, Any]:
     return doc
 
 
+def limits_from_dict(block: Any) -> dict[int, tuple[float, float]]:
+    """Circulation limits of a JSON object mapping edge ids to [tail, head]
+    pairs of finite numbers."""
+    if not isinstance(block, dict) or not all(
+        type(pair) is list and len(pair) == 2 for pair in block.values()
+    ):
+        raise ParseError("circulation must map edge ids to [tail, head] pairs")
+    bad = [k for k in block if type(k) is not str or not ID_KEY.fullmatch(k)]
+    if bad:
+        raise ParseError(f"circulation key {bad[0]!r} is not an edge id")
+    pairs = _finite_column([x for pair in block.values() for x in pair], "circulation limits")
+    return {int(k): (t, h) for k, (t, h) in zip(block, pairs.reshape(-1, 2).tolist())}
+
+
+def xi_from_dict(block: Any):
+    """Cycle data of an xi block: ``basis``, lists of signed JSON integer edge
+    ids, and ``coords``, one finite number per cycle."""
+    from .circulation import XiClass
+
+    basis = block.get("basis") if isinstance(block, dict) else None
+    if type(basis) is not list or not all(type(cycle) is list for cycle in basis):
+        raise ParseError("xi basis must be a list of edge id lists")
+    if json_column([x for cycle in basis for x in cycle], JSON_INT, np.int64) is None:
+        raise ParseError("xi basis cycles must hold JSON integer edge ids")
+    coords = _finite_column(block.get("coords"), "xi coords")
+    if len(basis) != len(coords):
+        raise ParseError("xi block needs one coordinate per basis cycle")
+    return XiClass([tuple(cycle) for cycle in basis], coords)
+
+
 def augmented_from_dict(doc: dict[str, Any]):
-    from .circulation import AugmentedCirculationGraph, CirculationFunction, XiClass
+    from .circulation import AugmentedCirculationGraph, CirculationFunction
 
     g = graph_from_dict(doc)
-    try:
-        limits = {
-            int(eid): (float(pair[0]), float(pair[1]))
-            for eid, pair in doc.get("circulation", {}).items()
-        }
-        xi_doc = doc.get("xi", {"basis": [], "coords": []})
-        xi = XiClass(
-            [tuple(int(x) for x in cycle) for cycle in xi_doc["basis"]],
-            np.asarray([float(c) for c in xi_doc["coords"]]),
-        )
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid augmented graph JSON: {exc}") from exc
+    limits = limits_from_dict(doc.get("circulation", {}))
+    xi = xi_from_dict(doc.get("xi", {"basis": [], "coords": []}))
     if sorted(limits) != sorted(e.id for e in g.solid_edges()):
         raise ParseError("circulation block must cover exactly the solid edges")
-    if len(xi.basis) != len(xi.coords):
-        raise ParseError("xi block needs one coordinate per basis cycle")
     dashed_ids = {e.id for e in g.dashed_edges()}
     for cycle in xi.basis:
         if not cycle or any(abs(x) not in dashed_ids for x in cycle):
@@ -111,34 +143,43 @@ def augmented_from_dict(doc: dict[str, Any]):
 
 
 def oneform_to_dict(form) -> dict[str, Any]:
-    surface = form.surface
-    edges = {}
-    for (iu, iv), x in sorted(form.values.items()):
-        u, v = surface.id_of(iu), surface.id_of(iv)
-        if u < v:
-            edges[f"{u}-{v}"] = float(x)
-        else:
-            edges[f"{v}-{u}"] = -float(x)
-    return {"edges": edges, "orientation": "tail<head by id"}
+    """Keys 'u-v' name each mesh edge by its vertex ids, u < v; the value is
+    the integral in the u-to-v direction."""
+    ids = np.asarray(form.surface.vertex_ids)[form.surface.edge_rows[:, :2]]
+    values = np.where(ids[:, 0] > ids[:, 1], -form.values, form.values)
+    keys = (f"{u}-{v}" for u, v in np.sort(ids, axis=1).tolist())
+    return {"edges": dict(zip(keys, values.tolist())), "orientation": "tail<head by id"}
 
 
-def oneform_from_dict(doc: dict[str, Any], surface: PLSurface):
-    """One-form JSON keys are 'u-v' with u < v as external ids; the value is
-    the integral in the u-to-v direction.  Internally values are stored per
-    sorted internal index pair, oriented from the lower index."""
+def oneform_from_dict(doc: Any, surface: PLSurface):
+    """One-form of the JSON written by ``oneform_to_dict``.
+
+    Each key must fully match 'u-v' with vertex ids u < v (either may be
+    negative) and name a mesh edge; each value is a finite JSON number.
+    Edges without a key read as 0.0.
+    """
     from .circulation import DiscreteOneForm
 
-    values = {}
-    try:
-        for key, x in doc["edges"].items():
-            u, v = (int(p) for p in key.split("-"))
-            if not u < v:
-                raise ParseError(f"one-form key {key!r} must have u < v")
-            iu, iv = surface.index_of(u), surface.index_of(v)
-            k = edge_key(iu, iv)
-            values[k] = float(x) if k == (iu, iv) else -float(x)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid one-form JSON: {exc}") from exc
+    edges = doc.get("edges") if isinstance(doc, dict) else None
+    if not isinstance(edges, dict):
+        raise ParseError("one-form JSON must map 'edges' to an object")
+    x = _finite_column(list(edges.values()), "one-form values")
+    ends = []
+    for key in edges:
+        match = EDGE_KEY.fullmatch(key) if type(key) is str else None
+        if not match or not int(match[1]) < int(match[2]):
+            raise ParseError(f"one-form key {key!r} must be 'u-v' with vertex ids u < v")
+        try:
+            ends.append((surface.index_of(int(match[1])), surface.index_of(int(match[2]))))
+        except KeyError as exc:
+            raise ParseError(f"one-form key {key!r} names unknown vertex {exc}") from exc
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    number = surface.edge_number(ends[:, 0], ends[:, 1])
+    if (number < 0).any():
+        key = list(edges)[int(np.argmax(number < 0))]
+        raise ParseError(f"one-form key {key!r} is not a mesh edge")
+    values = np.zeros(len(surface.edge_rows))
+    values[number] = np.where(ends[:, 0] < ends[:, 1], x, -x)
     return DiscreteOneForm(surface, values)
 
 

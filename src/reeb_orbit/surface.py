@@ -60,8 +60,11 @@ class PLSurface:
 
     ``triangles`` holds internal vertex indices (positions into
     ``vertex_ids``/``f``); the listed order of each triple is the orientation.
-    The derived incidence structures are built eagerly, apart from
-    ``edge_tris``, and the surface is treated as immutable afterwards.
+    Mesh edges are numbered once, in order of their (u, v) index pairs,
+    u < v: ``edge_rows[e]`` is (u, v, first triangle, second triangle or -1)
+    and ``edge_of[3t+i]`` the edge of side i of triangle t, from corner i to
+    corner i+1.  The derived incidence structures are built eagerly, and the
+    surface is treated as immutable afterwards.
     """
 
     vertex_ids: list[int]
@@ -110,8 +113,8 @@ class PLSurface:
 
     def _build_incidence(self) -> None:
         nv = len(self.vertex_ids)
-        self.edge_rows, boundary, self.star_tri, self.twin = _half_edge_incidence(
-            self.triangles, self.vertex_ids
+        self.edge_rows, boundary, self.star_tri, self.twin, self.edge_of = (
+            _half_edge_incidence(self.triangles, self.vertex_ids)
         )
         self.on_boundary = np.zeros(nv, dtype=bool)
         self.on_boundary[boundary[:, 0]] = True
@@ -120,20 +123,20 @@ class PLSurface:
         interior = self.edge_rows[:, 3] >= 0
         self.interior_ends = self.edge_rows[interior, :2].astype(np.int32)
         self.interior_tris = self.edge_rows[interior, 2:].astype(np.int32)
-        self.boundary_edge_keys = set(map(tuple, np.sort(boundary, axis=1).tolist()))
         self.total_area = float(math.fsum(self.areas.tolist()))
 
     @cached_property
-    def edge_tris(self) -> dict[EdgeKey, list[int]]:
-        """Each mesh edge (u, v), u < v, with its one or two triangles, in
-        order of first appearance; built on first use, since the level passes
-        read ``edge_rows`` and ``twin`` instead."""
-        # one int object per triangle index (peak RSS)
-        tris = list(range(len(self.triangles)))
-        return {
-            (u, v): [tris[a]] if b < 0 else [tris[a], tris[b]]
-            for u, v, a, b in zip(*(column.tolist() for column in self.edge_rows.T))
-        }
+    def _edge_keys(self) -> np.ndarray:
+        return self.edge_rows[:, 0].astype(np.int64) * len(self.vertex_ids) + self.edge_rows[:, 1]
+
+    def edge_number(self, u: Any, v: Any) -> np.ndarray:
+        """Edge number of each vertex pair (u, v), in either direction, or -1
+        where the pair is no mesh edge; ``u`` and ``v`` are indices or arrays
+        of them."""
+        keys = self._edge_keys
+        key = np.minimum(u, v).astype(np.int64) * len(self.vertex_ids) + np.maximum(u, v)
+        at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+        return np.where(keys[at] == key, at, -1)
 
     # -- convenience ----------------------------------------------------------
 
@@ -159,18 +162,18 @@ class PLSurface:
 
 def _half_edge_incidence(
     triangles: np.ndarray, ids: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check a triangle array as an oriented connected surface and derive its
     incidence from one table of half-edges.
 
     Half-edge 3t+i runs from corner i to corner i+1 of triangle t.  Sorted by
     undirected key, the sides of each mesh edge sit next to each other, in
-    triangle order.  Returns the mesh edges in order of first appearance as
-    rows (u, v, first triangle, second triangle or -1), the boundary edges in
-    key order, each directed as its triangle traverses it (which puts the
-    surface on the left), the smallest triangle of each vertex's star, and
-    the twin of each half-edge: the triangle across it, or -1 on the
-    boundary.  Errors name vertices by their ids in ``ids``.
+    triangle order.  Returns the mesh edges in key order as rows (u, v, first
+    triangle, second triangle or -1), the boundary edges in key order, each
+    directed as its triangle traverses it (which puts the surface on the
+    left), the smallest triangle of each vertex's star, the twin of each
+    half-edge (the triangle across it, or -1 on the boundary) and the edge
+    number of each half-edge.  Errors name vertices by their ids in ``ids``.
     """
     nv = len(ids)
     # 32-bit vertex indices halve the temporaries (peak RSS); keys need 64
@@ -223,16 +226,13 @@ def _half_edge_incidence(
             raise TopologyError(f"isolated vertex {ids[v]}")
         raise TopologyError(f"non-manifold star at vertex {ids[v]}")
 
-    listed = np.argsort(first)
-    edges = np.column_stack(
-        [ends[listed], first[listed] // 3, np.where(sides == 2, second // 3, -1)[listed]]
-    )
+    edges = np.column_stack([ends, first // 3, np.where(sides == 2, second // 3, -1)])
     star_tri = np.unique(src, return_index=True)[1] // 3
     twin = np.full(len(order), -1, dtype=np.int32)
     paired = sides == 2
     twin[first[paired]] = second[paired] // 3
     twin[second[paired]] = first[paired] // 3
-    return edges, boundary, star_tri, twin
+    return edges, boundary, star_tri, twin, edge_of
 
 
 def _boundary_polygons(nv: int, boundary: np.ndarray) -> list[list[tuple[int, int]]]:
@@ -579,55 +579,24 @@ def remap(s: PLSurface, map_spec: dict[str, Any]) -> PLSurface:
 
 
 def _barycentric_refine(s: PLSurface) -> PLSurface:
-    next_id = max(s.vertex_ids) + 1
-    ids = list(s.vertex_ids)
-    f = list(s.f)
-    xy = None if s.xy is None else [list(p) for p in s.xy]
-
-    mid_index: dict[EdgeKey, int] = {}
-    for k in sorted(s.edge_tris):
-        u, v = k
-        mid_index[k] = len(ids)
-        ids.append(next_id)
-        next_id += 1
-        f.append((s.f[u] + s.f[v]) / 2.0)
-        if xy is not None:
-            xy.append([(s.xy[u, 0] + s.xy[v, 0]) / 2.0, (s.xy[u, 1] + s.xy[v, 1]) / 2.0])
-
-    tris: list[list[int]] = []
-    areas: list[float] = []
-    for t, (a, b, c) in enumerate(s.triangles):
-        a, b, c = int(a), int(b), int(c)
-        g = len(ids)
-        ids.append(next_id)
-        next_id += 1
-        f.append((s.f[a] + s.f[b] + s.f[c]) / 3.0)
-        if xy is not None:
-            xy.append(
-                [
-                    (s.xy[a, 0] + s.xy[b, 0] + s.xy[c, 0]) / 3.0,
-                    (s.xy[a, 1] + s.xy[b, 1] + s.xy[c, 1]) / 3.0,
-                ]
-            )
-        mab = mid_index[edge_key(a, b)]
-        mbc = mid_index[edge_key(b, c)]
-        mca = mid_index[edge_key(c, a)]
-        child_area = float(s.areas[t]) / 6.0
-        for tri in (
-            (a, mab, g),
-            (mab, b, g),
-            (b, mbc, g),
-            (mbc, c, g),
-            (c, mca, g),
-            (mca, a, g),
-        ):
-            tris.append(list(tri))
-            areas.append(child_area)
-
-    return PLSurface(
-        ids,
-        np.array(f),
-        np.array(tris, dtype=int),
-        np.array(areas),
-        None if xy is None else np.array(xy),
-    )
+    """Each triangle split into six about its centroid: the midpoint of edge
+    e becomes vertex nv + e, the centroid of triangle t vertex nv + E + t, and
+    new vertices take the ids after the largest one, in that order."""
+    nv, ne = len(s.vertex_ids), len(s.edge_rows)
+    u, v = s.edge_rows[:, 0], s.edge_rows[:, 1]
+    a, b, c = s.triangles.T
+    f = np.concatenate([s.f, (s.f[u] + s.f[v]) / 2.0, (s.f[a] + s.f[b] + s.f[c]) / 3.0])
+    xy = None
+    if s.xy is not None:
+        xy = np.concatenate([s.xy, (s.xy[u] + s.xy[v]) / 2.0, (s.xy[a] + s.xy[b] + s.xy[c]) / 3.0])
+    mid = nv + s.edge_of.reshape(-1, 3)
+    g = np.broadcast_to((nv + ne + np.arange(len(a)))[:, None], mid.shape)
+    nxt = s.triangles[:, [1, 2, 0]]
+    # children (corner i, midpoint i, g) and (midpoint i, corner i+1, g) of
+    # side i, sides in order
+    tris = np.stack(
+        [np.stack([s.triangles, mid, g], axis=2), np.stack([mid, nxt, g], axis=2)], axis=2
+    ).reshape(-1, 3)
+    first_new = max(s.vertex_ids) + 1
+    ids = list(s.vertex_ids) + list(range(first_new, first_new + ne + len(a)))
+    return PLSurface(ids, f, tris, np.repeat(s.areas / 6.0, 6), xy)

@@ -127,8 +127,8 @@ def test_vorticity_exact_form_vanishes(cylinder):
 
 
 def test_vorticity_linear(cylinder):
-    vals = {k: 0.01 * (k[0] - k[1]) for k in cylinder.edge_tris}
-    a = DiscreteOneForm(cylinder, dict(vals))
+    vals = 0.01 * (cylinder.edge_rows[:, 0] - cylinder.edge_rows[:, 1])
+    a = DiscreteOneForm(cylinder, vals)
     v1 = vorticity(cylinder, a)
     v2 = vorticity(cylinder, a.scaled(2.0))
     assert np.allclose(v2, 2.0 * v1)
@@ -150,7 +150,9 @@ def test_level_on_vertex_raises(cylinder):
     value = float(cylinder.f[len(cylinder.f) // 2])
     if e.profile.f_lo < value < e.profile.f_hi:
         with pytest.raises(ro.LevelOnVertex):
-            circulation_from_form(cylinder, DiscreteOneForm(cylinder, {}), g, (e.id, value))
+            circulation_from_form(
+                cylinder, DiscreteOneForm(cylinder, np.zeros(len(cylinder.edge_rows))), g, (e.id, value)
+            )
 
 
 def _newton_leibniz_gap(surface):
@@ -187,15 +189,15 @@ def test_constant_circumference_form_on_cylinder(cylinder):
     # c times the circumference (the flat cylinder has circumference 1)
     g = ro.extract_reeb(cylinder, samples=16)
     c = 1.7
-    vals = {}
-    for (u, v) in cylinder.edge_tris:
+    vals = []
+    for u, v in cylinder.edge_rows[:, :2].tolist():
         du = cylinder.xy[v, 0] - cylinder.xy[u, 0]
         if du > 0.5:
             du -= 1.0
         elif du < -0.5:
             du += 1.0
-        vals[(u, v)] = c * du
-    a = DiscreteOneForm(cylinder, vals)
+        vals.append(c * du)
+    a = DiscreteOneForm(cylinder, np.array(vals))
     assert np.abs(vorticity(cylinder, a)).max() < 1e-9
     e = next(e for e in g.edges if e.style == "solid")
     lo, hi = e.profile.f_lo, e.profile.f_hi
@@ -215,7 +217,7 @@ def test_disk_lift_is_one_boundary_arc(disk):
     lifted = lift_dashed_graph(disk, g)
     (arc,) = lifted.edges.values()
     assert lifted.trees == {}
-    boundary = disk.boundary_edge_keys
+    boundary = {(min(u, v), max(u, v)) for chain in disk.boundary_polygons for u, v in chain}
     fs = []
     for (u, v), s0, s1 in arc.pieces:
         assert (min(u, v), max(u, v)) in boundary
@@ -291,8 +293,8 @@ def test_orbit_dimension_equals_h1_for_connected_dashed():
 
 def test_xi_angle_form(annulus):
     g = ro.extract_reeb(annulus, samples=16)
-    vals = {}
-    for (u, v) in annulus.edge_tris:
+    vals = []
+    for u, v in annulus.edge_rows[:, :2].tolist():
         du = math.atan2(annulus.xy[v, 1], annulus.xy[v, 0]) - math.atan2(
             annulus.xy[u, 1], annulus.xy[u, 0]
         )
@@ -300,8 +302,8 @@ def test_xi_angle_form(annulus):
             du -= 2 * math.pi
         while du < -math.pi:
             du += 2 * math.pi
-        vals[(u, v)] = du
-    a = DiscreteOneForm(annulus, vals)
+        vals.append(du)
+    a = DiscreteOneForm(annulus, np.array(vals))
     xi = xi_class(annulus, a, g)
     assert len(xi.coords) == 1
     assert abs(xi.coords[0]) == pytest.approx(2 * math.pi, rel=1e-12)

@@ -79,6 +79,20 @@ def test_circulation_check(capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+@pytest.mark.parametrize("limit", ["0.5", True, float("nan")], ids=["str", "bool", "nan"])
+def test_circulation_limit_off_its_json_type_exits_2(capsys, tmp_path, limit):
+    # float() took each of these and the check exited 1, printing a bare NaN
+    # (not JSON) for the last
+    _, out, _ = run(capsys, "circulation", "solve", str(DATA / "fig2.json"))
+    particular = json.loads(out)["particular"]
+    particular["1"][0] = limit
+    payload = tmp_path / "circ.json"
+    payload.write_text(json.dumps({"circulation": particular}))
+    code, out, _ = run(capsys, "circulation", "check", str(DATA / "fig2.json"), str(payload))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_realize_and_compare(capsys, tmp_path):
     mesh_path = tmp_path / "fig2_mesh.json"
     code, _, err = run(capsys, "realize", str(DATA / "fig2.json"), "-o", str(mesh_path))
@@ -91,30 +105,79 @@ def test_realize_and_compare(capsys, tmp_path):
     assert code == 0
 
 
-def test_xi_and_synthesize_pipeline(capsys, tmp_path):
-    mesh_path = tmp_path / "a_mesh.json"
-    graph_path = tmp_path / "a_graph.json"
+def _annulus_files(capsys, tmp_path, id_shift=0):
+    """Annulus mesh with its vertex ids shifted, its extracted graph, and the
+    graph's dashed cycle basis."""
+    from reeb_orbit.circulation import dashed_cycle_basis
     from reeb_orbit.models import annulus_mesh
+    from reeb_orbit.surface import PLSurface
 
     s = annulus_mesh()
+    s = PLSurface([i + id_shift for i in s.vertex_ids], s.f, s.triangles, s.areas, s.xy)
+    mesh_path = tmp_path / "a_mesh.json"
+    graph_path = tmp_path / "a_graph.json"
     mesh_path.write_text(serialize.dumps(s.to_dict()))
     code, _, _ = run(capsys, "extract", str(mesh_path), "--samples", "12", "-o", str(graph_path))
     assert code == 0
-    g = serialize.load_graph(graph_path.read_text())
-    from reeb_orbit.circulation import dashed_cycle_basis
+    basis = dashed_cycle_basis(serialize.load_graph(graph_path.read_text()))
+    return mesh_path, graph_path, [list(c) for c in basis]
 
-    basis = dashed_cycle_basis(g)
+
+def _synthesize_and_read_xi(capsys, tmp_path, id_shift=0):
+    """The written one-form and the xi output for cycle coordinate 0.9."""
+    mesh_path, graph_path, basis = _annulus_files(capsys, tmp_path, id_shift)
     targets = tmp_path / "targets.json"
-    targets.write_text(
-        json.dumps({"circulation": {}, "xi": {"basis": [list(c) for c in basis], "coords": [0.9]}})
-    )
+    targets.write_text(json.dumps({"circulation": {}, "xi": {"basis": basis, "coords": [0.9]}}))
     form_path = tmp_path / "form.json"
     code, _, _ = run(capsys, "synthesize", str(mesh_path), str(graph_path), str(targets), "-o", str(form_path))
     assert code == 0
     code, out, _ = run(capsys, "xi", str(mesh_path), str(form_path), str(graph_path))
-    assert code == 0
-    doc = json.loads(out)
+    assert code == 0, out
+    return json.loads(form_path.read_text()), json.loads(out)
+
+
+def test_xi_and_synthesize_pipeline(capsys, tmp_path):
+    _, doc = _synthesize_and_read_xi(capsys, tmp_path)
     assert doc["coords"][0] == pytest.approx(0.9, abs=1e-8)
+
+
+def test_negative_vertex_ids_round_trip(capsys, tmp_path):
+    # the reader split keys such as "-1000--999" at every "-", so xi exited 2
+    form, doc = _synthesize_and_read_xi(capsys, tmp_path, id_shift=-1000)
+    assert all(k.startswith("-") and "--" in k for k in form["edges"])
+    assert doc["coords"][0] == pytest.approx(0.9, abs=1e-8)
+
+
+def test_fractional_xi_basis_id_exits_2(capsys, tmp_path):
+    # int() read 3.4 as edge id 3, so synthesize exited 0
+    mesh_path, graph_path, basis = _annulus_files(capsys, tmp_path)
+    assert basis[0][0] == 3
+    basis[0][0] = 3.4
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps({"circulation": {}, "xi": {"basis": basis, "coords": [0.9]}}))
+    code, out, _ = run(capsys, "synthesize", str(mesh_path), str(graph_path), str(targets))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_string_circulation_target_is_a_parse_error(capsys, tmp_path):
+    # float() read "0.5" as a number, which then failed as an InfeasibleTarget
+    from reeb_orbit.circulation import dashed_cycle_basis
+    from reeb_orbit.models import torus_with_hole_mesh
+
+    mesh_path, graph_path = tmp_path / "mesh.json", tmp_path / "graph.json"
+    mesh_path.write_text(serialize.dumps(torus_with_hole_mesh().to_dict()))
+    assert run(capsys, "extract", str(mesh_path), "-o", str(graph_path))[0] == 0
+    particular = json.loads(run(capsys, "circulation", "solve", str(graph_path))[1])["particular"]
+    particular[next(iter(particular))][0] = "0.5"
+    basis = [list(c) for c in dashed_cycle_basis(serialize.load_graph(graph_path.read_text()))]
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(
+        {"circulation": particular, "xi": {"basis": basis, "coords": [0.0] * len(basis)}}
+    ))
+    code, out, _ = run(capsys, "synthesize", str(mesh_path), str(graph_path), str(targets))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
 
 
 def test_compare_augmented(capsys, tmp_path):
@@ -291,7 +354,7 @@ def test_bad_circulation_pairs_exit_2(capsys, tmp_path, pair):
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 2, argv
-        assert json.loads(out)["error"] == "ReebOrbitError"
+        assert json.loads(out)["error"] == "ParseError"
 
 
 def test_invariants_builds_no_surface(capsys, monkeypatch):

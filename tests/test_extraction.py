@@ -121,6 +121,45 @@ def test_extraction_requires_validation(disk):
         extract_reeb(bad)
 
 
+@pytest.fixture(scope="module")
+def fig4a_surface():
+    from reeb_orbit.fixtures import fig4a_graph
+
+    return realize(fig4a_graph(), resolution=4).surface
+
+
+def _reweighted_graph(s, f_shift=0.0, area_scale=1.0):
+    """Graph of s with its field shifted or its areas scaled, detached from s."""
+    from reeb_orbit.surface import PLSurface
+
+    other = PLSurface(list(s.vertex_ids), s.f + f_shift, s.triangles, area_scale * s.areas)
+    return extract_reeb(other, samples=8)
+
+
+def test_ensure_context_rejects_other_counts(fig4a_surface, disk):
+    with pytest.raises(NotSimpleMorse, match="^graph does not match"):
+        extraction.ensure_context(fig4a_surface, extract_reeb(disk, samples=8))
+
+
+def test_ensure_context_rejects_other_vertex_fields(fig4a_surface):
+    with pytest.raises(NotSimpleMorse, match="^graph does not match"):
+        extraction.ensure_context(fig4a_surface, _reweighted_graph(fig4a_surface, f_shift=1.0))
+
+
+def test_ensure_context_rejects_other_masses(fig4a_surface):
+    with pytest.raises(NotSimpleMorse, match="^graph measures do not match"):
+        extraction.ensure_context(fig4a_surface, _reweighted_graph(fig4a_surface, area_scale=2.0))
+
+
+def test_ensure_context_rejects_other_cyclic_orders(fig4a_surface):
+    # the Fig. 4 pair differs only in the cyclic order at vertex 3
+    from reeb_orbit.fixtures import fig4b_graph
+
+    g = extract_reeb(realize(fig4b_graph(), resolution=4).surface, samples=8)
+    with pytest.raises(NotSimpleMorse, match="^graph cyclic orders do not match"):
+        extraction.ensure_context(fig4a_surface, g)
+
+
 def test_extraction_deterministic(annulus):
     from reeb_orbit.serialize import graph_to_dict
 
@@ -226,12 +265,10 @@ def reference_slab_components(s, lo, hi):
             members.append(tri)
             dsu.find(tri)
     member_set = set(members)
-    for key, tris in s.edge_tris.items():
-        if len(tris) != 2:
+    for u, v, a, b in s.edge_rows.tolist():
+        if b < 0:
             continue
-        u, v = key
         if min(s.f[u], s.f[v]) < hi and max(s.f[u], s.f[v]) > lo:
-            a, b = tris
             if a in member_set and b in member_set:
                 dsu.union(a, b)
     return {tri: dsu.find(tri) for tri in members}

@@ -12,19 +12,23 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reeb_orbit import ParseError, ReebOrbitError, cli
+from reeb_orbit.circulation import DiscreteOneForm
 from reeb_orbit.models import square_mesh
 from reeb_orbit.serialize import (
     augmented_from_dict,
+    dumps,
     graph_from_dict,
     load_graph,
     oneform_from_dict,
+    oneform_to_dict,
 )
-from reeb_orbit.surface import load_mesh
+from reeb_orbit.surface import PLSurface, load_mesh
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
 KEYS = (
@@ -53,13 +57,14 @@ VALID = {
 }
 SURFACE = square_mesh(2)
 FORM = {"edges": {f"{u}-{v}": 0.5 for u, v in (
-    sorted((SURFACE.id_of(a), SURFACE.id_of(b))) for a, b in SURFACE.edge_tris
+    sorted((SURFACE.id_of(a), SURFACE.id_of(b))) for a, b in SURFACE.edge_rows[:, :2].tolist()
 )}}
 VALID["form"] = FORM
 VALID["targets"] = {
     "circulation": {str(e["id"]): [0.0, 0.5] for e in VALID["graph"]["edges"]},
-    "xi": {"basis": [], "coords": []},
+    "xi": {"basis": [[2, -3]], "coords": [0.5]},
 }
+VALID["circulation"] = {"circulation": VALID["targets"]["circulation"]}
 
 
 def _paths(doc, prefix=()):
@@ -126,6 +131,30 @@ def test_oneform_from_dict_is_total(doc):
     _total(lambda d: oneform_from_dict(d, SURFACE), doc)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [{"1-2": "0.5"}, {"1-2": True}, {"1-2": " 0.25"}, {"1-2": float("nan")}, {"+1- 2": 0.5},
+     {"1-3": 0.5}],
+    ids=["str", "bool", "padded-str", "nan", "padded-key", "non-edge"],
+)
+def test_oneform_reader_rejects_values_and_keys_off_the_grammar(edges):
+    # float() and int() took each of these; "1-3", no edge of the mesh, was
+    # also written back out
+    with pytest.raises(ParseError):
+        oneform_from_dict({"edges": edges}, SURFACE)
+
+
+def test_oneform_keys_with_negative_ids_round_trip():
+    shifted = PLSurface([i - 5 for i in SURFACE.vertex_ids], SURFACE.f, SURFACE.triangles, SURFACE.areas)
+    form = DiscreteOneForm(shifted, np.arange(len(shifted.edge_rows)) - 3.0)
+    doc = oneform_to_dict(form)
+    assert doc["edges"]["-4--3"] == -3.0
+    assert list(oneform_from_dict(doc, shifted).values) == list(form.values)
+    # a missing edge reads as 0
+    del doc["edges"]["-4--3"]
+    assert oneform_from_dict(doc, shifted).values[0] == 0.0
+
+
 def _with(doc, key, index, **fields):
     doc = copy.deepcopy(doc)
     doc[key][index].update(fields)
@@ -180,3 +209,53 @@ def test_cli_exit_codes_are_total(tmp_path_factory, command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+
+
+# values outside a number leaf's JSON type (finite number) or an id leaf's
+# (integer); the valid documents hold numbers as floats and ids as ints
+OFF_NUMBER = (
+    st.none()
+    | st.booleans()
+    | st.text(max_size=3)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.lists(SCALARS, max_size=2)
+    | st.dictionaries(st.text(max_size=2), SCALARS, max_size=2)
+)
+OFF_ID = OFF_NUMBER | st.floats()
+TYPED_COMMANDS = (
+    ("xi", "form"),
+    ("synthesize", "targets"),
+    ("circulation check", "circulation"),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(TYPED_COMMANDS), st.data())
+def test_numbers_and_ids_off_their_json_type_exit_2(tmp_path_factory, command, data):
+    argv, kind = command
+    doc = copy.deepcopy(VALID[kind])
+    leaves = []
+    for path in _paths(doc):
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if path and type(parent[path[-1]]) in (int, float):
+            leaves.append((parent, path[-1]))
+    parent, step = data.draw(st.sampled_from(leaves))
+    parent[step] = data.draw(OFF_ID if type(parent[step]) is int else OFF_NUMBER)
+    folder = tmp_path_factory.mktemp("doc")
+    path = folder / "doc.json"
+    path.write_text(json.dumps(doc))
+    mesh = folder / "mesh.json"
+    mesh.write_text(dumps(SURFACE.to_dict()))
+    graph = str(DATA / "fig2.json")
+    argv = argv.split() + {
+        "form": [str(mesh), str(path), graph],
+        "targets": [str(mesh), graph, str(path)],
+        "circulation": [graph, str(path)],
+    }[kind]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 2
+    assert json.loads(out.getvalue())["error"] == "ParseError"
