@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DataError,
     InsufficientSamples,
     NotSimpleMorse,
     SlabTooWide,
@@ -124,11 +125,6 @@ class ExtractionContext:
 # -- vectorized clipped areas ----------------------------------------------------
 
 
-def _sorted_tri_values(s: PLSurface, tris: list[int]) -> np.ndarray:
-    vals = np.sort(s.f[s.triangles[tris]], axis=1)
-    return vals
-
-
 def _area_below(vals: np.ndarray, areas: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Total weighted area below each level, for triangles with sorted values.
 
@@ -159,7 +155,7 @@ def _region_cum(
     s: PLSurface, tris: list[int], clip_lo: float, clip_hi: float, grid: np.ndarray
 ) -> np.ndarray:
     """Area of the clipped region below each grid value."""
-    vals = _sorted_tri_values(s, tris)
+    vals = np.sort(s.f[s.triangles[tris]], axis=1)
     areas = s.areas[tris]
     levels = np.concatenate(([clip_lo], np.clip(grid, clip_lo, clip_hi)))
     rows = max(1, _AREA_BLOCK_CELLS // len(vals))
@@ -174,13 +170,47 @@ def _region_cum(
 
 def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     """Measured Reeb graph of the field on s, with K = ``samples`` per edge."""
+    if samples < 2:
+        raise DataError(f"need at least 2 samples per edge, got {samples}")
+    vertices, edge_specs, cyclic_orders, ctx = _witness(s)
+    graph_edges: list[ReebEdge] = []
+    for eid, (tail, head, style) in enumerate(edge_specs, start=1):
+        profile = _edge_profile(ctx, eid, samples)
+        if np.any(np.diff(profile.cumulative) <= 0.0):
+            raise UnclassifiableTransition(
+                f"edge {eid}: measure profile is not strictly increasing"
+            )
+        graph_edges.append(ReebEdge(eid, tail, head, style, profile))
+    graph = MeasuredReebGraph(vertices, graph_edges, cyclic_orders, context=ctx)
+    graph.validate()
+    return graph
+
+
+def _edge_profile(ctx: ExtractionContext, eid: int, samples: int) -> MeasureProfile:
+    """Profile step: the edge's cumulative area on ``samples`` + 1 uniform
+    values from its tail's field value to its head's."""
+    members = ctx.edge_members[eid]
+    crit_vals = ctx.critical_values
+    lo, hi = crit_vals[members[0][0]], crit_vals[members[-1][0] + 1]
+    grid = np.linspace(lo, hi, samples + 1)
+    cum = np.zeros(samples + 1)
+    for j, tris in ctx.edge_triangles(eid):
+        cum += _region_cum(ctx.surface, tris, crit_vals[j], crit_vals[j + 1], grid)
+    cum[0] = 0.0
+    return MeasureProfile(lo, hi, cum)
+
+
+def _witness(s: PLSurface) -> tuple[
+    list[ReebVertex], list[tuple[int, int, str]], dict[int, tuple[int, ...]], ExtractionContext
+]:
+    """Witness step: the extraction without its measure profiles; returns the
+    vertices, each edge's (tail, head, style) in id order, the cyclic orders
+    and the context."""
     report = validate_simple_morse(s)
     if not report.is_simple_morse:
         raise NotSimpleMorse(
             "; ".join(f"{v.code}: {v.message}" for v in report.violations)
         )
-    if samples < 2:
-        raise ValueError("need at least 2 samples per edge")
     criticals = report.critical_points
     m = len(criticals)
     if m < 2:
@@ -249,21 +279,16 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
             raise UnclassifiableTransition("edge family skips a band")
 
     # vertex objects; critical level j is vertex j + 1
+    def counts(j: int, indices: list[int]) -> tuple[int, int]:
+        circles = sum(band_components[j][ci].is_circle for ci in indices)
+        return circles, len(indices) - circles
+
     graph_vertices: list[ReebVertex] = []
-    comp_style = lambda j, ci: band_components[j][ci].is_circle  # noqa: E731
     for j, (below, above) in enumerate(events):
-        below_counts = (
-            sum(1 for ci in below if comp_style(j - 1, ci)),
-            sum(1 for ci in below if not comp_style(j - 1, ci)),
-        )
-        above_counts = (
-            sum(1 for ci in above if comp_style(j, ci)),
-            sum(1 for ci in above if not comp_style(j, ci)),
-        )
-        vtype, orientation = classify_level_transition(below_counts, above_counts)
+        vtype, orientation = classify_level_transition(counts(j - 1, below), counts(j, above))
         graph_vertices.append(ReebVertex(j + 1, crit_vals[j], vtype, orientation))
 
-    # edge objects, deterministically ordered
+    # edges, deterministically ordered
     edge_specs = []
     for members in classes.values():
         tail, head = members[0][0] + 1, members[-1][0] + 2
@@ -289,37 +314,20 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
             for j, ci in members
         },
     )
-    graph_edges: list[ReebEdge] = []
-    for eid, (tail, head, _members, style) in enumerate(edge_specs, start=1):
-        lo = crit_vals[tail - 1]
-        hi = crit_vals[head - 1]
-        grid = np.linspace(lo, hi, samples + 1)
-        cum = np.zeros(samples + 1)
-        for j, tris in ctx.edge_triangles(eid):
-            cum += _region_cum(s, tris, crit_vals[j], crit_vals[j + 1], grid)
-        cum[0] = 0.0
-        if np.any(np.diff(cum) <= 0.0):
-            raise UnclassifiableTransition(
-                f"edge {eid}: measure profile is not strictly increasing"
-            )
-        profile = MeasureProfile(lo, hi, cum)
-        graph_edges.append(ReebEdge(eid, tail, head, style, profile))
-    graph = MeasuredReebGraph(graph_vertices, graph_edges, {}, context=ctx)
-
     # the lids of a cyclic-order vertex are the band levels on either side,
     # already traced, and its event slab already sorted them into below/above
+    dashed = [v for tail, head, _, style in edge_specs if style == "dashed" for v in (tail, head)]
+    cyclic_orders: dict[int, tuple[int, ...]] = {}
     for j, (below, above) in enumerate(events):
-        if len(graph.dashed_edges_at(j + 1)) >= 3:
+        if dashed.count(j + 1) >= 3:
             order = _cyclic_order_walk(
                 s,
                 ctx,
                 (band_values[j - 1], band_components[j - 1], below),
                 (band_values[j], band_components[j], above),
             )
-            graph.cyclic_orders[j + 1] = _canonical_rotation(order)
-
-    graph.validate()
-    return graph
+            cyclic_orders[j + 1] = _canonical_rotation(order)
+    return graph_vertices, [(t, h, style) for t, h, _, style in edge_specs], cyclic_orders, ctx
 
 
 def _canonical_rotation(order: list[int]) -> tuple[int, ...]:
@@ -410,29 +418,30 @@ def _cyclic_order_walk(
 
 
 def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
-    """Extraction witness for (s, graph), re-extracting when detached.
+    """Extraction witness for (s, graph), re-attaching a detached graph.
 
-    Extraction is deterministic, so a graph serialized and reloaded can be
-    re-attached to its surface by re-extracting and checking element-wise
-    equality of the result.  The checked context is attached to the graph,
-    so later calls with the same surface do not extract again.
+    Extraction is deterministic, so a reloaded graph is re-attached by the
+    witness step and element-wise equality; masses come from a one-interval
+    grid, whose last sample is that of any K-sample profile, bit for bit.
+    The checked context stays attached for later calls with the same surface.
     """
     if graph.context is not None and graph.context.surface is s:
         return graph.context
-    fresh = extract_reeb(s, samples=graph.edges[0].profile.samples)
-    if len(fresh.vertices) != len(graph.vertices) or len(fresh.edges) != len(graph.edges):
+    vertices, edge_specs, cyclic_orders, ctx = _witness(s)
+    if len(vertices) != len(graph.vertices) or len(edge_specs) != len(graph.edges):
         raise NotSimpleMorse("graph does not match the surface's extraction")
-    for a, b in zip(fresh.vertices, graph.vertices):
+    for a, b in zip(vertices, graph.vertices):
         if (a.id, a.f, a.vtype, a.orientation) != (b.id, b.f, b.vtype, b.orientation):
             raise NotSimpleMorse("graph does not match the surface's extraction")
-    for a, b in zip(fresh.edges, graph.edges):
-        if (a.id, a.tail, a.head, a.style) != (b.id, b.tail, b.head, b.style):
+    for eid, (spec, b) in enumerate(zip(edge_specs, graph.edges), start=1):
+        if (eid, *spec) != (b.id, b.tail, b.head, b.style):
             raise NotSimpleMorse("graph does not match the surface's extraction")
-        if abs(a.mass - b.mass) > 1e-9 * max(1.0, abs(a.mass)):
+        mass = _edge_profile(ctx, eid, 1).mass
+        if abs(mass - b.mass) > 1e-9 * max(1.0, abs(mass)):
             raise NotSimpleMorse("graph measures do not match the surface's extraction")
-    if fresh.cyclic_orders != graph.cyclic_orders:
+    if cyclic_orders != graph.cyclic_orders:
         raise NotSimpleMorse("graph cyclic orders do not match the surface's extraction")
-    graph.context = fresh.context
+    graph.context = ctx
     return graph.context
 
 

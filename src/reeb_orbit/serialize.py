@@ -14,7 +14,8 @@ from .surface import JSON_INT, JSON_NUMBER, PLSurface, decode_json, json_column
 
 # ids in JSON object keys; \d is ASCII only, as int() would take other digits
 ID_KEY = re.compile(r"-?\d+", re.ASCII)
-EDGE_KEY = re.compile(r"(-?\d+)-(-?\d+)", re.ASCII)
+# canonical decimal ids, as str(int) writes them
+EDGE_KEY = re.compile(r"(0|-?[1-9]\d*)-(0|-?[1-9]\d*)", re.ASCII)
 
 
 def _finite_column(values: Any, what: str) -> np.ndarray:
@@ -142,21 +143,27 @@ def augmented_from_dict(doc: dict[str, Any]):
     return AugmentedCirculationGraph(g, CirculationFunction(limits), xi)
 
 
+def _edge_keys(surface: PLSurface) -> tuple[list[str], np.ndarray]:
+    """The one-form key 'u-v' of each mesh edge, vertex ids u < v, and
+    whether it runs against the edge's direction in ``edge_rows``."""
+    ids = np.asarray(surface.vertex_ids)[surface.edge_rows[:, :2]]
+    return [f"{u}-{v}" for u, v in np.sort(ids, axis=1).tolist()], ids[:, 0] > ids[:, 1]
+
+
 def oneform_to_dict(form) -> dict[str, Any]:
     """Keys 'u-v' name each mesh edge by its vertex ids, u < v; the value is
     the integral in the u-to-v direction."""
-    ids = np.asarray(form.surface.vertex_ids)[form.surface.edge_rows[:, :2]]
-    values = np.where(ids[:, 0] > ids[:, 1], -form.values, form.values)
-    keys = (f"{u}-{v}" for u, v in np.sort(ids, axis=1).tolist())
+    keys, flipped = _edge_keys(form.surface)
+    values = np.where(flipped, -form.values, form.values)
     return {"edges": dict(zip(keys, values.tolist())), "orientation": "tail<head by id"}
 
 
 def oneform_from_dict(doc: Any, surface: PLSurface):
     """One-form of the JSON written by ``oneform_to_dict``.
 
-    Each key must fully match 'u-v' with vertex ids u < v (either may be
-    negative) and name a mesh edge; each value is a finite JSON number.
-    Edges without a key read as 0.0.
+    Each key must be 'u-v' with canonical decimal vertex ids u < v (either
+    may be negative) naming a mesh edge, so no edge has two keys; each value
+    is a finite JSON number.  Edges without a key read as 0.0.
     """
     from .circulation import DiscreteOneForm
 
@@ -164,22 +171,21 @@ def oneform_from_dict(doc: Any, surface: PLSurface):
     if not isinstance(edges, dict):
         raise ParseError("one-form JSON must map 'edges' to an object")
     x = _finite_column(list(edges.values()), "one-form values")
-    ends = []
-    for key in edges:
+    keys, flipped = _edge_keys(surface)
+    number_of = dict(zip(keys, range(len(keys))))
+    number = np.array([number_of.get(key, -1) for key in edges], dtype=np.int64)
+    if (number < 0).any():
+        key = list(edges)[int(np.argmax(number < 0))]
         match = EDGE_KEY.fullmatch(key) if type(key) is str else None
         if not match or not int(match[1]) < int(match[2]):
             raise ParseError(f"one-form key {key!r} must be 'u-v' with vertex ids u < v")
         try:
-            ends.append((surface.index_of(int(match[1])), surface.index_of(int(match[2]))))
+            surface.index_of(int(match[1])), surface.index_of(int(match[2]))
         except KeyError as exc:
             raise ParseError(f"one-form key {key!r} names unknown vertex {exc}") from exc
-    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    number = surface.edge_number(ends[:, 0], ends[:, 1])
-    if (number < 0).any():
-        key = list(edges)[int(np.argmax(number < 0))]
         raise ParseError(f"one-form key {key!r} is not a mesh edge")
     values = np.zeros(len(surface.edge_rows))
-    values[number] = np.where(ends[:, 0] < ends[:, 1], x, -x)
+    values[number] = np.where(flipped[number], -x, x)
     return DiscreteOneForm(surface, values)
 
 

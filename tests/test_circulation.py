@@ -244,27 +244,33 @@ def test_fig4a_hole_circulations(fig4a):
 
 
 def test_synthesis_on_reloaded_graph_extracts_once(monkeypatch):
-    # a graph loaded from JSON is checked against one fresh extraction, whose
-    # context then stays attached for every later step of the synthesis
+    # a graph loaded from JSON is checked against one run of the extraction's
+    # witness step, without its profiles, and the context then stays attached
+    # for every later step of the synthesis
     from reeb_orbit import extraction
     from reeb_orbit.models import torus_with_hole_mesh
     from reeb_orbit.serialize import graph_from_dict, graph_to_dict
 
     surf = torus_with_hole_mesh()
     g = graph_from_dict(graph_to_dict(ro.extract_reeb(surf, samples=16)))
-    calls = []
-    original = extraction.extract_reeb
+    calls = {"_witness": 0, "extract_reeb": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(extraction, name)
 
-    monkeypatch.setattr(extraction, "extract_reeb", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(extraction, name, counting(name))
     basis = dashed_cycle_basis(g)
     synthesize_form(
         surf, g, solve_circulations(g).particular, XiClass(basis, np.zeros(len(basis)))
     )
-    assert len(calls) == 1
+    assert calls == {"_witness": 1, "extract_reeb": 0}
 
 
 def test_disk_zero_target_synthesis(disk):

@@ -180,6 +180,60 @@ def test_string_circulation_target_is_a_parse_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_extract_with_fewer_than_two_samples_exits_2(capsys, samples):
+    # extract_reeb raised a bare ValueError, which ended in a traceback
+    code, out, _ = run(capsys, "extract", str(DATA / "disk_linear.json"), "--samples", samples)
+    assert code == 2
+    assert json.loads(out)["error"] == "DataError"
+
+
+def test_non_canonical_one_form_key_exits_2(capsys, tmp_path):
+    # "0u-v" named edge u-v too, so a form could hold one edge under two keys
+    form, _ = _synthesize_and_read_xi(capsys, tmp_path)
+    key = next(k for k in form["edges"] if not k.startswith("-"))
+    form["edges"]["0" + key] = form["edges"].pop(key)
+    form_path = tmp_path / "form.json"
+    form_path.write_text(json.dumps(form))
+    mesh_path, graph_path = tmp_path / "a_mesh.json", tmp_path / "a_graph.json"
+    code, out, _ = run(capsys, "xi", str(mesh_path), str(form_path), str(graph_path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("mesh", ["torus_with_hole", "fuzz30014"])
+def test_one_interval_profiles_synthesize_and_read_back(capsys, tmp_path, mesh):
+    # a loaded graph was re-attached by extracting at its own K, and K = 1
+    # ended in a ValueError traceback
+    from reeb_orbit.circulation import dashed_cycle_basis
+    from reeb_orbit.fuzz import random_measured_graph
+    from reeb_orbit.models import torus_with_hole_mesh
+
+    if mesh == "torus_with_hole":
+        s = torus_with_hole_mesh()
+    else:
+        s = ro.realize(random_measured_graph(30014, max_events=6), resolution=4).surface
+    mesh_path, graph_path = tmp_path / "mesh.json", tmp_path / "graph.json"
+    mesh_path.write_text(serialize.dumps(s.to_dict()))
+    assert run(capsys, "extract", str(mesh_path), "-o", str(graph_path))[0] == 0
+    doc = json.loads(graph_path.read_text())
+    for e in doc["edges"]:
+        e["cumulative"] = [0.0, e["mass"]]
+    graph_path.write_text(serialize.dumps(doc))
+    particular = json.loads(run(capsys, "circulation", "solve", str(graph_path))[1])["particular"]
+    basis = [list(c) for c in dashed_cycle_basis(serialize.load_graph(graph_path.read_text()))]
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(
+        {"circulation": particular, "xi": {"basis": basis, "coords": [0.5] * len(basis)}}
+    ))
+    form_path = tmp_path / "form.json"
+    code, out, _ = run(capsys, "synthesize", str(mesh_path), str(graph_path), str(targets), "-o", str(form_path))
+    assert code == 0, out
+    code, out, _ = run(capsys, "xi", str(mesh_path), str(form_path), str(graph_path))
+    assert code == 0, out
+    assert json.loads(out)["coords"] == pytest.approx([0.5] * len(basis), abs=1e-8)
+
+
 def test_compare_augmented(capsys, tmp_path):
     import reeb_orbit.circulation as circ
     from reeb_orbit.models import annulus_mesh

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reeb_orbit import (
+    DataError,
     NotSimpleMorse,
     UnclassifiableTransition,
     classify_level_transition,
@@ -23,6 +25,8 @@ from reeb_orbit.levels import (
 )
 from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
 from reeb_orbit.surface import edge_key, remap
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
 
 
 def test_classify_table_rows():
@@ -158,6 +162,43 @@ def test_ensure_context_rejects_other_cyclic_orders(fig4a_surface):
     g = extract_reeb(realize(fig4b_graph(), resolution=4).surface, samples=8)
     with pytest.raises(NotSimpleMorse, match="^graph cyclic orders do not match"):
         extraction.ensure_context(fig4a_surface, g)
+
+
+def _witness_meshes():
+    """The data fixtures, torus_with_hole_mesh() and the fuzz meshes of the
+    benchmark seeds: orbit synthesis at resolution 4, remapping at 6, two of
+    them refined."""
+    from reeb_orbit.serialize import load_graph
+    from reeb_orbit.surface import load_mesh
+
+    meshes = [load_mesh((DATA / "disk_linear.json").read_bytes()), torus_with_hole_mesh()]
+    for name in ("fig2", "fig4a", "fig4b", "closed_torus"):
+        meshes.append(realize(load_graph((DATA / f"{name}.json").read_bytes()), resolution=4).surface)
+    for fs in (30002, 30014, 30039, 30050, 30055, 30057, 30060, 30072):
+        meshes.append(realize(random_measured_graph(fs, max_events=6), resolution=4).surface)
+    for fs in (20000, 20001, 20002, 20003, 20004, 20005, 20008, 20009, 20010):
+        meshes.append(realize(random_measured_graph(fs), resolution=6).surface)
+        if fs in (20008, 20009):
+            meshes.append(remap(meshes[-1], {"kind": "refine"}))
+    return meshes
+
+
+def test_witness_masses_are_the_last_profile_samples():
+    # re-attaching a loaded graph integrates each edge on a one-interval grid;
+    # its mass must be the very float a K-sample profile ends in
+    for s in _witness_meshes():
+        _, edge_specs, _, ctx = extraction._witness(s)
+        masses = [extraction._edge_profile(ctx, eid, 1).mass for eid in ctx.edge_members]
+        assert len(masses) == len(edge_specs)
+        for samples in (2, 12, 64):
+            g = extract_reeb(s, samples=samples)
+            assert masses == [float(e.profile.cumulative[-1]) for e in g.edges]
+
+
+def test_samples_below_two_are_a_data_error(disk):
+    for samples in (1, 0, -3):
+        with pytest.raises(DataError, match="at least 2 samples"):
+            extract_reeb(disk, samples=samples)
 
 
 def test_extraction_deterministic(annulus):

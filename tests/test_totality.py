@@ -144,6 +144,17 @@ def test_oneform_reader_rejects_values_and_keys_off_the_grammar(edges):
         oneform_from_dict({"edges": edges}, SURFACE)
 
 
+@pytest.mark.parametrize(
+    "edges", [{"1-2": 0.5, "01-2": 0.25}, {"01-2": 0.5}, {"-0-1": 0.5}],
+    ids=["duplicate", "leading-zero", "negative-zero"],
+)
+def test_oneform_keys_must_be_canonical_ids(edges):
+    # "01-2" named edge 1-2 a second time, and its value replaced the first
+    # one silently
+    with pytest.raises(ParseError, match="must be 'u-v'"):
+        oneform_from_dict({"edges": edges}, SURFACE)
+
+
 def test_oneform_keys_with_negative_ids_round_trip():
     shifted = PLSurface([i - 5 for i in SURFACE.vertex_ids], SURFACE.f, SURFACE.triangles, SURFACE.areas)
     form = DiscreteOneForm(shifted, np.arange(len(shifted.edge_rows)) - 3.0)
