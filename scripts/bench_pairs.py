@@ -11,10 +11,12 @@ with ``run.py``'s default seed, one after the other, ``--pairs`` times
 (default 10, the fewest pairs a claimed gain is judged on); the side that
 goes first alternates from pair to pair, so that a drift in machine speed
 does not favour either side.  Each run's last line of
-standard output is its result JSON.  The output file holds every pair's
-end-to-end metrics, the per-side medians and quartiles, the number of pairs
-in which the change did better, and the machine (CPUs, Python, numpy,
-scipy).  It is written to CHANGE.
+standard output is its result JSON; a run whose checks failed
+(``"correct": false``) stops the script, naming the checkout, the workload
+and the pair.  The output file holds every pair's end-to-end metrics, the
+per-side medians and quartiles, the number of pairs in which the change did
+better, each side's total of attempted and failed jobs, and the machine
+(CPUs, Python, numpy, scipy).  It is written to CHANGE.
 
 The runs write no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the script
 refuses to start while either checkout holds a ``__pycache__`` under ``src/``
@@ -133,15 +135,19 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 start = time.perf_counter()
                 result = run_once(checkouts[side], workload, seconds)
+                if result.get("correct") is not True:
+                    raise SystemExit(f"{side} checkout {checkouts[side]}: workload {workload}, "
+                                     f"pair {i + 1}: the run's checks failed (correct: "
+                                     f"{result.get('correct')!r}); no timings are recorded")
                 pair[side] = result
                 values = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
                 print(f"{workload} pair {i + 1}/{args.pairs} {side}: {values} "
                       f"({time.perf_counter() - start:.0f} s)", file=sys.stderr, flush=True)
             pairs.append(pair)
-        doc["workloads"][workload] = {
-            "pairs": pairs,
-            "summary": summarize(pairs, spec["end_to_end"]),
-        }
+        summary = summarize(pairs, spec["end_to_end"])
+        for total in ("attempted", "failed"):
+            summary[total] = {side: sum(p[side][total] for p in pairs) for side in SIDES}
+        doc["workloads"][workload] = {"pairs": pairs, "summary": summary}
 
     out = args.change / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

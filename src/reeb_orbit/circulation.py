@@ -14,7 +14,7 @@ joined through singular level trees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -341,18 +341,15 @@ class LiftedGraph:
     trees: dict[int, SingularTree]
 
 
-def _walk_boundary(
-    s: PLSurface,
-    start_key: EdgeKey,
-    level: float,
-    lo: float,
-    hi: float,
-) -> LiftedEdge:
-    """Follow the boundary through the start crossing across [lo, hi].
+def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
+    """Follow the boundary through the start crossing of the dashed edge's
+    probe level across the edge's [lo, hi].
 
     The walk ascends in field value along the boundary orientation; pieces
     are clipped exactly at the crossings of lo and hi (or stop at a boundary
     vertex whose value equals an endpoint)."""
+    level, comp = ctx.probe_component(e.id)
+    start_key, lo, hi = comp.start_key, e.profile.f_lo, e.profile.f_hi
     p, i0, _ = level_tables(s).boundary_positions[start_key]
     chain = s.boundary_polygons[p]
     n = len(chain)
@@ -422,14 +419,7 @@ def _walk_boundary(
         raise InvalidGraph("boundary walk failed to reach the lower level")
     back.reverse()
     # the backward stub and the first forward piece abut at the probe level
-    pieces = back + pieces
-    return LiftedEdge(-1, pieces, start_node, end_node)
-
-
-def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
-    probe, comp = ctx.probe_component(e.id)
-    lifted = _walk_boundary(s, comp.start_key, probe, e.profile.f_lo, e.profile.f_hi)
-    return LiftedEdge(e.id, lifted.pieces, lifted.start_node, lifted.end_node)
+    return LiftedEdge(e.id, back + pieces, start_node, end_node)
 
 
 def _level_graph(

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
+from typing import Any
 
 from . import circulation, equivalence, fuzz, graph_core, realization, serialize
 from .errors import ParseError, ReebOrbitError
 from .extraction import extract_reeb
-from .surface import load_mesh, topology_summary, validate_simple_morse
+from .surface import decode_json, load_mesh, topology_summary, validate_simple_morse
 
 
 def _emit(doc: dict) -> None:
@@ -31,15 +31,13 @@ def _read_mesh(path: str):
 
 def _read_graph(path: str):
     with open(path, "rb") as fh:
-        return serialize.load_graph(fh.read())
+        return serialize.load_graph(fh)
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+def _read_document(path: str, noun: str) -> Any:
+    """The decoded JSON document of a file, read as meshes and graphs are."""
+    with open(path, "rb") as fh:
+        return decode_json(fh, noun)
 
 
 def _write_or_print(doc: dict, out: str | None) -> None:
@@ -87,8 +85,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.augmented:
-        a1 = serialize.augmented_from_dict(_read_json(args.first))
-        a2 = serialize.augmented_from_dict(_read_json(args.second))
+        a1 = serialize.augmented_from_dict(_read_document(args.first, "augmented graph"))
+        a2 = serialize.augmented_from_dict(_read_document(args.second, "augmented graph"))
         iso = equivalence.match_augmented(a1, a2, tol_f=args.tol_f, tol_mass=args.tol_mass)
     else:
         g1 = _read_graph(args.first)
@@ -120,7 +118,7 @@ def cmd_circulation(args) -> int:
         return 0 if res.exists else 1
     if not args.data:
         raise ReebOrbitError("circulation check needs a data file")
-    doc = _read_json(args.data)
+    doc = _read_document(args.data, "circulation data")
     if not isinstance(doc, dict) or "circulation" not in doc:
         raise ParseError("circulation data must hold a 'circulation' object")
     limits = serialize.limits_from_dict(doc["circulation"])
@@ -141,7 +139,7 @@ def cmd_circulation(args) -> int:
 def cmd_xi(args) -> int:
     s = _read_mesh(args.mesh)
     g = _read_graph(args.graph)
-    form = serialize.oneform_from_dict(_read_json(args.form), s)
+    form = serialize.oneform_from_dict(_read_document(args.form, "one-form"), s)
     xi = circulation.xi_class(s, form, g)
     _emit({"basis": [list(c) for c in xi.basis], "coords": [float(c) for c in xi.coords]})
     return 0
@@ -150,7 +148,7 @@ def cmd_xi(args) -> int:
 def cmd_synthesize(args) -> int:
     s = _read_mesh(args.mesh)
     g = _read_graph(args.graph)
-    targets = _read_json(args.targets)
+    targets = _read_document(args.targets, "synthesis targets")
     if not isinstance(targets, dict):
         raise ParseError("synthesis targets must be a JSON object")
     target_c = circulation.CirculationFunction(

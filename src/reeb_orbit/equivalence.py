@@ -23,18 +23,6 @@ from .circulation import AugmentedCirculationGraph, cycle_edge_vector
 from .errors import AmbiguousMatching
 from .reebgraph import MeasuredReebGraph
 
-KIND_ORDER = (
-    "F_VALUES",
-    "TYPES",
-    "ADJACENCY",
-    "STYLE",
-    "CYCLIC_ORDER",
-    "MEASURE",
-    "CIRCULATION",
-    "XI",
-)
-
-
 @dataclass(frozen=True)
 class Obstruction:
     kind: str

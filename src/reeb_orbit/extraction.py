@@ -154,15 +154,16 @@ _AREA_BLOCK_CELLS = 16384
 def _region_cum(
     s: PLSurface, tris: list[int], clip_lo: float, clip_hi: float, grid: np.ndarray
 ) -> np.ndarray:
-    """Area of the clipped region below each grid value."""
+    """Area of the clipped region below each grid value; the grid starts at
+    or below ``clip_lo``, so its first clipped value is the lower clip."""
     vals = np.sort(s.f[s.triangles[tris]], axis=1)
     areas = s.areas[tris]
-    levels = np.concatenate(([clip_lo], np.clip(grid, clip_lo, clip_hi)))
+    levels = np.clip(grid, clip_lo, clip_hi)
     rows = max(1, _AREA_BLOCK_CELLS // len(vals))
     below = np.concatenate(
         [_area_below(vals, areas, levels[i : i + rows]) for i in range(0, len(levels), rows)]
     )
-    return below[1:] - below[0]
+    return below - below[0]
 
 
 # -- main extraction --------------------------------------------------------------
@@ -196,7 +197,6 @@ def _edge_profile(ctx: ExtractionContext, eid: int, samples: int) -> MeasureProf
     cum = np.zeros(samples + 1)
     for j, tris in ctx.edge_triangles(eid):
         cum += _region_cum(ctx.surface, tris, crit_vals[j], crit_vals[j + 1], grid)
-    cum[0] = 0.0
     return MeasureProfile(lo, hi, cum)
 
 
@@ -421,23 +421,26 @@ def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
     """Extraction witness for (s, graph), re-attaching a detached graph.
 
     Extraction is deterministic, so a reloaded graph is re-attached by the
-    witness step and element-wise equality; masses come from a one-interval
-    grid, whose last sample is that of any K-sample profile, bit for bit.
+    witness step and equality of the vertex and the edge of each id, in any
+    list order; masses come from a one-interval grid, whose last sample is
+    that of any K-sample profile, bit for bit.
     The checked context stays attached for later calls with the same surface.
     """
     if graph.context is not None and graph.context.surface is s:
         return graph.context
     vertices, edge_specs, cyclic_orders, ctx = _witness(s)
-    if len(vertices) != len(graph.vertices) or len(edge_specs) != len(graph.edges):
+    if (
+        len(vertices) != len(graph.vertices)
+        or len(edge_specs) != len(graph.edges)
+        or {v.id: (v.f, v.vtype, v.orientation) for v in vertices}
+        != {v.id: (v.f, v.vtype, v.orientation) for v in graph.vertices}
+        or dict(enumerate(edge_specs, start=1))
+        != {e.id: (e.tail, e.head, e.style) for e in graph.edges}
+    ):
         raise NotSimpleMorse("graph does not match the surface's extraction")
-    for a, b in zip(vertices, graph.vertices):
-        if (a.id, a.f, a.vtype, a.orientation) != (b.id, b.f, b.vtype, b.orientation):
-            raise NotSimpleMorse("graph does not match the surface's extraction")
-    for eid, (spec, b) in enumerate(zip(edge_specs, graph.edges), start=1):
-        if (eid, *spec) != (b.id, b.tail, b.head, b.style):
-            raise NotSimpleMorse("graph does not match the surface's extraction")
-        mass = _edge_profile(ctx, eid, 1).mass
-        if abs(mass - b.mass) > 1e-9 * max(1.0, abs(mass)):
+    for eid in ctx.edge_members:
+        mass, stated = _edge_profile(ctx, eid, 1).mass, graph.edge(eid).mass
+        if abs(mass - stated) > 1e-9 * max(1.0, abs(mass)):
             raise NotSimpleMorse("graph measures do not match the surface's extraction")
     if cyclic_orders != graph.cyclic_orders:
         raise NotSimpleMorse("graph cyclic orders do not match the surface's extraction")

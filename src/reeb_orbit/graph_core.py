@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidGraph, NonIntegerFormulaValue, TopologyError
 from .levels import DSU

@@ -67,9 +67,6 @@ class LevelComponent:
     chords: list[Chord]
     is_circle: bool
 
-    def triangles(self) -> list[int]:
-        return [c.tri for c in self.chords]
-
     @property
     def start_key(self) -> EdgeKey:
         if self.is_circle:

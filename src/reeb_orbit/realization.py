@@ -12,7 +12,6 @@ edges are honored by which strips share a boundary leaf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

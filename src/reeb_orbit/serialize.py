@@ -10,18 +10,39 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .reebgraph import MeasuredReebGraph, MeasureProfile, ReebEdge, ReebVertex
-from .surface import JSON_INT, JSON_NUMBER, PLSurface, decode_json, json_column
+from .surface import JSON_ARRAY, JSON_INT, JSON_NUMBER, JSON_STRING, PLSurface
+from .surface import decode_json, json_column, json_records
 
-# ids in JSON object keys; \d is ASCII only, as int() would take other digits
-ID_KEY = re.compile(r"-?\d+", re.ASCII)
-# canonical decimal ids, as str(int) writes them
-EDGE_KEY = re.compile(r"(0|-?[1-9]\d*)-(0|-?[1-9]\d*)", re.ASCII)
+# an id in a JSON object key: canonical decimal, as str(int) writes it, so no
+# id has two keys; \d is ASCII only, as int() would take other digits
+ID_KEY = re.compile(r"0|-?[1-9]\d*", re.ASCII)
+EDGE_KEY = re.compile(f"({ID_KEY.pattern})-({ID_KEY.pattern})", re.ASCII)
+
+
+def _id_keyed(block: Any, what: str) -> tuple[list[int], list]:
+    """The ids that the keys of a JSON object name, and its values, in key
+    order."""
+    if not isinstance(block, dict):
+        raise ParseError(f"{what} must be a JSON object keyed by ids")
+    bad = [k for k in block if type(k) is not str or not ID_KEY.fullmatch(k)]
+    if bad:
+        raise ParseError(f"{what} key {bad[0]!r} is not a canonical decimal id")
+    return [int(k) for k in block], list(block.values())
+
+
+def _id_lists(lists: Any, what: str) -> list[tuple[int, ...]]:
+    """``lists`` as tuples, or a ParseError naming ``what`` unless it is a
+    list of lists of JSON integer ids."""
+    arrays = type(lists) is list and json_column(lists, JSON_ARRAY) is not None
+    if not arrays or json_column([x for ids in lists for x in ids], JSON_INT) is None:
+        raise ParseError(f"{what} must be lists of JSON integer edge ids")
+    return [tuple(ids) for ids in lists]
 
 
 def _finite_column(values: Any, what: str) -> np.ndarray:
     """``values`` as a float array, or a ParseError naming ``what`` unless it
     is a list of finite JSON numbers."""
-    column = json_column(values, JSON_NUMBER, float) if type(values) is list else None
+    column = json_column(values, JSON_NUMBER) if type(values) is list else None
     if column is None or not np.isfinite(column).all():
         raise ParseError(f"{what} must be a list of finite JSON numbers")
     return column
@@ -48,35 +69,41 @@ def graph_to_dict(g: MeasuredReebGraph) -> dict[str, Any]:
     }
 
 
-def graph_from_dict(doc: dict[str, Any]) -> MeasuredReebGraph:
-    try:
-        vertices = [
-            ReebVertex(int(v["id"]), float(v["f"]), str(v["type"]), str(v["orientation"]))
-            for v in doc["vertices"]
-        ]
-        vf = {v.id: v.f for v in vertices}
-        edges = []
-        for e in doc["edges"]:
-            samples = e["cumulative"]
-            cum = json_column(samples, JSON_NUMBER, float) if type(samples) is list else None
-            if cum is None:
-                raise ValueError(f"edge {e['id']!r}: cumulative must be a list of numbers")
-            profile = MeasureProfile(vf[int(e["tail"])], vf[int(e["head"])], cum)
-            edge = ReebEdge(int(e["id"]), int(e["tail"]), int(e["head"]), str(e["style"]), profile)
-            # "not <=" rejects a NaN on either side too; an empty profile has
-            # no mass to compare, and validate() rejects it
-            if "mass" in e and cum.size and not abs(float(e["mass"]) - edge.mass) <= 1e-9 * abs(edge.mass):
-                raise DataError(
-                    f"edge {edge.id}: stated mass {e['mass']!r} differs from its profile's "
-                    f"{edge.mass!r}"
-                )
-            edges.append(edge)
-        orders = doc.get("cyclic_orders", {})
-        if not isinstance(orders, dict):
-            raise ParseError("cyclic_orders must map vertex ids to edge id lists")
-        cyclic = {int(v): tuple(int(x) for x in order) for v, order in orders.items()}
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"invalid graph JSON: {exc}") from exc
+GRAPH_VERTEX = {"id": JSON_INT, "f": JSON_NUMBER, "type": JSON_STRING, "orientation": JSON_STRING}
+GRAPH_EDGE = {"id": JSON_INT, "tail": JSON_INT, "head": JSON_INT, "style": JSON_STRING,
+              "cumulative": JSON_ARRAY}
+
+
+def graph_from_dict(doc: Any) -> MeasuredReebGraph:
+    """Graph of the JSON written by ``graph_to_dict``: ids are JSON integers,
+    ``f``, the optional ``mass`` and the samples JSON numbers, the other
+    fields JSON strings, and cyclic-order keys canonical decimal ids."""
+    if not isinstance(doc, dict):
+        raise ParseError("graph JSON must be an object")
+    vids, fs, types, orientations = json_records(doc.get("vertices"), GRAPH_VERTEX, "vertex")
+    vertices = [ReebVertex(*v) for v in zip(vids.tolist(), fs.tolist(), types, orientations)]
+    entries = doc.get("edges")
+    eids, tails, heads, styles, samples = json_records(entries, GRAPH_EDGE, "edge")
+    vf = {v.id: v.f for v in vertices}
+    edges = []
+    ends = zip(tails.tolist(), heads.tolist())
+    for eid, (tail, head), style, cum in zip(eids.tolist(), ends, styles, samples):
+        cum = json_column(cum, JSON_NUMBER)
+        if cum is None:
+            raise ParseError(f"edge {eid}: cumulative must be a list of JSON numbers")
+        if tail not in vf or head not in vf:
+            raise ParseError(f"edge {eid} references unknown vertex")
+        edges.append(ReebEdge(eid, tail, head, style, MeasureProfile(vf[tail], vf[head], cum)))
+    stated = [i for i, entry in enumerate(entries) if "mass" in entry]
+    (masses,) = json_records([entries[i] for i in stated], {"mass": JSON_NUMBER}, "edge")
+    for edge, mass in zip([edges[i] for i in stated], masses.tolist()):
+        # "not <=" rejects a NaN on either side too; an empty profile has
+        # no mass to compare, and validate() rejects it
+        if edge.profile.cumulative.size and not abs(mass - edge.mass) <= 1e-9 * abs(edge.mass):
+            raise DataError(f"edge {edge.id}: stated mass {mass!r} differs from its profile's "
+                            f"{edge.mass!r}")
+    keys, orders = _id_keyed(doc.get("cyclic_orders", {}), "cyclic_orders")
+    cyclic = dict(zip(keys, _id_lists(orders, "cyclic orders")))
     g = MeasuredReebGraph(vertices, edges, cyclic)
     g.validate()
     return g
@@ -101,15 +128,11 @@ def augmented_to_dict(aug) -> dict[str, Any]:
 def limits_from_dict(block: Any) -> dict[int, tuple[float, float]]:
     """Circulation limits of a JSON object mapping edge ids to [tail, head]
     pairs of finite numbers."""
-    if not isinstance(block, dict) or not all(
-        type(pair) is list and len(pair) == 2 for pair in block.values()
-    ):
+    keys, pairs = _id_keyed(block, "circulation")
+    if not all(type(pair) is list and len(pair) == 2 for pair in pairs):
         raise ParseError("circulation must map edge ids to [tail, head] pairs")
-    bad = [k for k in block if type(k) is not str or not ID_KEY.fullmatch(k)]
-    if bad:
-        raise ParseError(f"circulation key {bad[0]!r} is not an edge id")
-    pairs = _finite_column([x for pair in block.values() for x in pair], "circulation limits")
-    return {int(k): (t, h) for k, (t, h) in zip(block, pairs.reshape(-1, 2).tolist())}
+    limits = _finite_column([x for pair in pairs for x in pair], "circulation limits")
+    return dict(zip(keys, map(tuple, limits.reshape(-1, 2).tolist())))
 
 
 def xi_from_dict(block: Any):
@@ -117,15 +140,11 @@ def xi_from_dict(block: Any):
     ids, and ``coords``, one finite number per cycle."""
     from .circulation import XiClass
 
-    basis = block.get("basis") if isinstance(block, dict) else None
-    if type(basis) is not list or not all(type(cycle) is list for cycle in basis):
-        raise ParseError("xi basis must be a list of edge id lists")
-    if json_column([x for cycle in basis for x in cycle], JSON_INT, np.int64) is None:
-        raise ParseError("xi basis cycles must hold JSON integer edge ids")
+    basis = _id_lists(block.get("basis") if isinstance(block, dict) else None, "xi basis cycles")
     coords = _finite_column(block.get("coords"), "xi coords")
     if len(basis) != len(coords):
         raise ParseError("xi block needs one coordinate per basis cycle")
-    return XiClass([tuple(cycle) for cycle in basis], coords)
+    return XiClass(basis, coords)
 
 
 def augmented_from_dict(doc: dict[str, Any]):

@@ -23,8 +23,6 @@ from .errors import DataError, ParseError, TopologyError, UnsupportedMap
 
 EdgeKey = tuple[int, int]
 
-CRITICAL_KINDS = ("min", "max", "saddle", "boundary-min", "boundary-max")
-
 
 def edge_key(u: int, v: int) -> EdgeKey:
     return (u, v) if u < v else (v, u)
@@ -430,48 +428,59 @@ def topology_summary(s: PLSurface) -> TopologySummary:
 def decode_json(source: Any, noun: str) -> Any:
     """The decoded document of bytes, a JSON string or a file-like object;
     anything else is taken as an already decoded document and returned as it
-    is.  ``noun`` names the format in the ParseError message."""
-    if not isinstance(source, (str, bytes, bytearray)) and not hasattr(source, "read"):
+    is.  Bytes are decoded as ``json.loads`` decodes them: UTF-8, with a
+    byte-order mark or not, or UTF-16 or UTF-32.  ``noun`` names the format
+    in the ParseError message."""
+    if hasattr(source, "read"):
+        source = source.read()
+    if not isinstance(source, (str, bytes, bytearray)):
         return source
     try:
-        if hasattr(source, "read"):
-            return json.load(source)
-        if isinstance(source, (bytes, bytearray)):
-            return json.loads(source.decode("utf-8"))
         return json.loads(source)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ParseError(f"invalid {noun} JSON: {exc}") from exc
 
 
-# JSON types of the numeric fields.  json decodes true/false as bool, a
-# subclass of int that numpy converts silently, so types are compared exactly.
-JSON_INT = frozenset({int})
-JSON_NUMBER = frozenset({int, float})
+# JSON types, each with the dtype of its columns (None: the list itself).
+# json decodes true/false as bool, a subclass of int that numpy converts
+# silently, so types are compared exactly.
+JSON_INT = (frozenset({int}), np.int64)
+JSON_NUMBER = (frozenset({int, float}), float)
+JSON_STRING = (frozenset({str}), None)
+JSON_ARRAY = (frozenset({list}), None)
 
 
-def json_column(values: list, types: frozenset, dtype: Any) -> Optional[np.ndarray]:
-    """``values`` as one array of ``dtype``, or None when a value is not of
-    one of the JSON ``types`` or does not fit the dtype."""
+def json_column(values: list, json_type: tuple) -> Any:
+    """``values`` as one column of ``json_type``, or None when a value is of
+    another type or does not fit the column's dtype."""
+    types, dtype = json_type
     if not set(map(type, values)) <= types:
         return None
     try:
-        return np.array(values, dtype=dtype)
+        return values if dtype is None else np.array(values, dtype=dtype)
     except OverflowError:
         return None
 
 
-def _vertex_columns(entries: list) -> Optional[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Ids (as a list and as an array) and field values of vertex entries, or
-    None when an entry is bad."""
+def json_records(entries: Any, fields: dict[str, tuple], what: str) -> list:
+    """The columns of a list of JSON objects, one json_column per field of
+    ``fields`` (name to JSON type), in order.  Each field is read as one
+    column; only when one fails are the entries read one by one, to name the
+    first bad one in the ParseError."""
+    if type(entries) is not list:
+        raise ParseError(f"{what} entries must be a list")
     try:
-        ids = [entry["id"] for entry in entries]
-        f = json_column([entry["f"] for entry in entries], JSON_NUMBER, float)
+        columns = [json_column([e[name] for e in entries], t) for name, t in fields.items()]
     except (KeyError, TypeError):
-        return None
-    id_array = json_column(ids, JSON_INT, np.int64)
-    if id_array is None or f is None:
-        return None
-    return ids, id_array, f
+        columns = [None]
+    if any(column is None for column in columns):
+        # a column fails only where an entry fails on its own, so reading the
+        # entries one by one raises at the first bad one
+        if len(entries) > 1:
+            for entry in entries:
+                json_records([entry], fields, what)
+        raise ParseError(f"bad {what} entry {entries[0]!r}")
+    return columns
 
 
 def _triangle_columns(
@@ -481,13 +490,10 @@ def _triangle_columns(
     the areas of triangle entries, or None when an entry is bad.  A corner is
     found in the ids sorted by ``order``."""
     try:
-        corners = [entry["v"] for entry in entries]
-        areas = json_column([entry["area"] for entry in entries], JSON_NUMBER, float)
-    except (KeyError, TypeError):
+        corners, areas = json_records(entries, {"v": JSON_ARRAY, "area": JSON_NUMBER}, "triangle")
+    except ParseError:
         return None
-    if areas is None or not set(map(type, corners)) <= {list}:
-        return None
-    flat = json_column([*chain.from_iterable(corners)], JSON_INT, np.int64)
+    flat = json_column([*chain.from_iterable(corners)], JSON_INT)
     if flat is None or (flat.size and not sorted_ids.size):
         return None
     at = np.searchsorted(sorted_ids, flat).clip(max=max(len(sorted_ids) - 1, 0))
@@ -511,11 +517,7 @@ def load_mesh(source: Any) -> PLSurface:
     if not isinstance(verts, list) or not isinstance(tris, list):
         raise ParseError("mesh JSON 'vertices' and 'triangles' must be lists")
 
-    columns = _vertex_columns(verts)
-    if columns is None:
-        bad = next(entry for entry in verts if _vertex_columns([entry]) is None)
-        raise ParseError(f"bad vertex entry {bad!r}")
-    ids, id_array, f = columns
+    id_array, f = json_records(verts, {"id": JSON_INT, "f": JSON_NUMBER}, "vertex")
     order = np.argsort(id_array)
     sorted_ids = id_array[order]
     if np.any(sorted_ids[1:] == sorted_ids[:-1]):
@@ -537,12 +539,12 @@ def load_mesh(source: Any) -> PLSurface:
     if coords and None not in coords:
         if not set(map(type, coords)) <= {list} or set(map(len, coords)) != {2}:
             raise ParseError("every vertex xy must be a coordinate pair")
-        xy = json_column([*chain.from_iterable(coords)], JSON_NUMBER, float)
+        xy = json_column([*chain.from_iterable(coords)], JSON_NUMBER)
         if xy is None:
-            bad = next(e for e in verts if json_column(e["xy"], JSON_NUMBER, float) is None)
+            bad = next(e for e in verts if json_column(e["xy"], JSON_NUMBER) is None)
             raise ParseError(f"bad vertex entry {bad!r}")
         xy = xy.reshape(-1, 2)
-    return PLSurface(ids, f, corners.reshape(-1, 3), areas, xy)
+    return PLSurface(id_array.tolist(), f, corners.reshape(-1, 3), areas, xy)
 
 
 def remap(s: PLSurface, map_spec: dict[str, Any]) -> PLSurface:

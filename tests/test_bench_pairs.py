@@ -50,3 +50,59 @@ def test_runs_write_no_bytecode(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     assert bench_pairs.run_once(tmp_path, "graph-algebra", 1) == {"metrics": {}}
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def _checkouts(tmp_path, seconds=1):
+    spec = {
+        "run_seconds": seconds,
+        "workloads": [{"name": "graph-algebra"}],
+        "end_to_end": [{"name": "jobs_per_s", "unit": "1/s", "better": "higher"}],
+    }
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    return [str(tmp_path / "parent"), str(tmp_path / "change")]
+
+
+def _result(correct, attempted=10, failed=0):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"jobs_per_s": {"value": 50.0, "unit": "1/s"}}}
+
+
+def test_a_run_with_failed_checks_stops_the_script(tmp_path, monkeypatch):
+    # benchmark/run.py exits 0 when its checks fail, and such a run's
+    # timings were recorded
+    bench_pairs = load_script()
+    argv = _checkouts(tmp_path)
+    runs = []
+
+    def fake_run_once(checkout, workload, seconds):
+        runs.append(checkout.name)
+        return _result(len(runs) != 3)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv + ["--pr", "0", "--pairs", "2"])
+    # pair 2 runs the change first
+    assert runs == ["parent", "change", "change"]
+    message = str(exc.value)
+    assert str(tmp_path / "change") in message
+    assert "graph-algebra" in message and "pair 2" in message
+    assert not (tmp_path / "change" / "BENCH_0.json").exists()
+
+
+def test_summary_holds_each_sides_job_totals(tmp_path, monkeypatch):
+    bench_pairs = load_script()
+    argv = _checkouts(tmp_path)
+    totals = {"parent": (10, 0), "change": (12, 1)}
+
+    def fake_run_once(checkout, workload, seconds):
+        return _result(True, *totals[checkout.name])
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(argv + ["--pr", "0", "--pairs", "3"]) == 0
+    summary = json.loads((tmp_path / "change" / "BENCH_0.json").read_text())["workloads"][
+        "graph-algebra"]["summary"]
+    assert summary["attempted"] == {"parent": 30, "change": 36}
+    assert summary["failed"] == {"parent": 0, "change": 3}
+    assert summary["jobs_per_s"]["pairs_change_better"] == 0

@@ -397,6 +397,83 @@ def test_non_numeric_json_fields_exit_2(capsys, tmp_path, name, edit, argv):
     assert json.loads(out)["error"] == "ParseError"
 
 
+def _rekey(orders, key, new_key):
+    orders[new_key] = orders.pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # int(), float() or str() read each of these as a value of the right
+        # type, so the edited graph loaded
+        lambda d: d["edges"][0].update(tail=1.4),
+        lambda d: d["vertices"][0].update(f="0.0"),
+        lambda d: d["vertices"][0].update(id=True),
+        lambda d: d["edges"][0].update(id="1"),
+        lambda d: d["edges"][0].update(mass="0.7"),
+        lambda d: d["cyclic_orders"]["3"].__setitem__(0, 2.3),
+        lambda d: d["cyclic_orders"]["3"].__setitem__(0, "2"),
+        lambda d: _rekey(d["cyclic_orders"], "2", " 2"),
+    ],
+    ids=["tail-float", "f-str", "id-bool", "edge-id-str", "mass-str", "order-id-float",
+         "order-id-str", "order-key-padded"],
+)
+def test_graph_fields_off_their_json_type_exit_2(capsys, tmp_path, edit):
+    path = _edited_copy(tmp_path, "fig4a.json", edit)
+    for argv in (["invariants"], ["circulation", "solve"]):
+        code, out, _ = run(capsys, *argv, str(path))
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "ParseError"
+
+
+def test_circulation_keys_naming_one_edge_twice_exit_2(capsys, tmp_path):
+    # "01" read as edge 1 too, and the later pair replaced the earlier one:
+    # the check exited 1 with max_residual 9.5 from the overwritten pair
+    particular = json.loads(run(capsys, "circulation", "solve", str(DATA / "fig2.json"))[1])
+    limits = dict(particular["particular"], **{"01": [9.0, 9.5]})
+    payload = tmp_path / "circ.json"
+    payload.write_text(json.dumps({"circulation": limits}))
+    code, out, _ = run(capsys, "circulation", "check", str(DATA / "fig2.json"), str(payload))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("listed", ["edges", "vertices"])
+def test_reordered_graph_files_synthesize_and_read_back(capsys, tmp_path, listed):
+    # the graph was matched to its mesh's extraction by list position, so
+    # either reversed list failed as "graph does not match"
+    from reeb_orbit.circulation import dashed_cycle_basis
+    from reeb_orbit.models import torus_with_hole_mesh
+
+    mesh_path, graph_path = tmp_path / "mesh.json", tmp_path / "graph.json"
+    mesh_path.write_text(serialize.dumps(torus_with_hole_mesh().to_dict()))
+    assert run(capsys, "extract", str(mesh_path), "-o", str(graph_path))[0] == 0
+    doc = json.loads(graph_path.read_text())
+    doc[listed].reverse()
+    graph_path.write_text(serialize.dumps(doc))
+    particular = json.loads(run(capsys, "circulation", "solve", str(graph_path))[1])["particular"]
+    basis = [list(c) for c in dashed_cycle_basis(serialize.load_graph(graph_path.read_text()))]
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps(
+        {"circulation": particular, "xi": {"basis": basis, "coords": [0.5] * len(basis)}}
+    ))
+    form_path = tmp_path / "form.json"
+    code, out, _ = run(capsys, "synthesize", str(mesh_path), str(graph_path), str(targets), "-o", str(form_path))
+    assert code == 0, out
+    code, out, _ = run(capsys, "xi", str(mesh_path), str(form_path), str(graph_path))
+    assert code == 0, out
+    assert json.loads(out)["coords"] == pytest.approx([0.5] * len(basis), abs=1e-8)
+
+
+def test_every_input_is_decoded_as_meshes_are(capsys, tmp_path):
+    # a byte-order mark was skipped in a mesh file but a parse error in a
+    # graph file, which went through a second decoding path
+    for name, argv in (("disk_linear.json", ["validate"]), ("fig2.json", ["invariants"])):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (DATA / name).read_bytes())
+        assert run(capsys, *argv, str(path))[:2] == run(capsys, *argv, str(DATA / name))[:2]
+
+
 @pytest.mark.parametrize("pair", [[0.5], [10**400, 0.0]], ids=["short", "huge"])
 def test_bad_circulation_pairs_exit_2(capsys, tmp_path, pair):
     # a one-element pair raised IndexError and a huge integer OverflowError

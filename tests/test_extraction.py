@@ -195,6 +195,25 @@ def test_witness_masses_are_the_last_profile_samples():
             assert masses == [float(e.profile.cumulative[-1]) for e in g.edges]
 
 
+def test_reattachment_integrates_two_levels_per_region(monkeypatch):
+    # the lower clip was integrated twice, as a prepended row and as the
+    # first clipped grid value: 3 level rows per region for a 2-level grid
+    from reeb_orbit.serialize import graph_from_dict, graph_to_dict
+
+    s = torus_with_hole_mesh()
+    g = graph_from_dict(graph_to_dict(extract_reeb(s, samples=8)))
+    rows = []
+    area_below = extraction._area_below
+
+    def counting(vals, areas, levels):
+        rows.append(len(levels))
+        return area_below(vals, areas, levels)
+
+    monkeypatch.setattr(extraction, "_area_below", counting)
+    ctx = extraction.ensure_context(s, g)
+    assert sum(rows) == 2 * sum(len(members) for members in ctx.edge_members.values())
+
+
 def test_samples_below_two_are_a_data_error(disk):
     for samples in (1, 0, -3):
         with pytest.raises(DataError, match="at least 2 samples"):

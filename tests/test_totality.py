@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,38 +223,65 @@ def test_cli_exit_codes_are_total(tmp_path_factory, command, data):
     assert code in (0, 1, 2)
 
 
-# values outside a number leaf's JSON type (finite number) or an id leaf's
-# (integer); the valid documents hold numbers as floats and ids as ints
-OFF_NUMBER = (
+# values outside a number leaf's JSON type (finite number), an id leaf's
+# (integer) or a string leaf's; the valid documents hold numbers as floats
+# and ids as ints.  A graph's non-finite numbers are a DataError
+# (tests/test_cli.py), so graph number leaves draw only the other values.
+OFF_TYPE = (
     st.none()
     | st.booleans()
-    | st.text(max_size=3)
-    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
     | st.lists(SCALARS, max_size=2)
     | st.dictionaries(st.text(max_size=2), SCALARS, max_size=2)
 )
+OFF_GRAPH_NUMBER = OFF_TYPE | st.text(max_size=3)
+OFF_NUMBER = OFF_GRAPH_NUMBER | st.sampled_from([float("nan"), float("inf"), float("-inf")])
 OFF_ID = OFF_NUMBER | st.floats()
+OFF_STRING = OFF_TYPE | st.integers() | st.floats()
+# keys of the objects whose keys name ids, off the canonical decimal grammar
+ID_KEYED = ("circulation", "cyclic_orders")
+OFF_ID_KEY = st.text(max_size=3).filter(lambda k: not re.fullmatch("0|-?[1-9][0-9]*", k))
+VALID["fig4a"] = json.loads((DATA / "fig4a.json").read_text())
 TYPED_COMMANDS = (
     ("xi", "form"),
     ("synthesize", "targets"),
     ("circulation check", "circulation"),
+    ("invariants", "graph"),
+    ("circulation solve", "graph"),
+    ("invariants", "fig4a"),
+    ("circulation solve", "fig4a"),
 )
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+def _typed_leaves(doc):
+    """(container, key or index, kind) of each id, number and string leaf,
+    and of each key of an id-keyed object (kind "key")."""
+    leaves = []
+    for path in _paths(doc):
+        if not path:
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        value = parent[path[-1]]
+        kind = {int: "id", float: "number", str: "string"}.get(type(value))
+        if kind:
+            leaves.append((parent, path[-1], kind))
+        if path[-1] in ID_KEYED and isinstance(value, dict):
+            leaves += [(value, key, "key") for key in value]
+    return leaves
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
 @given(st.sampled_from(TYPED_COMMANDS), st.data())
 def test_numbers_and_ids_off_their_json_type_exit_2(tmp_path_factory, command, data):
     argv, kind = command
     doc = copy.deepcopy(VALID[kind])
-    leaves = []
-    for path in _paths(doc):
-        parent = doc
-        for step in path[:-1]:
-            parent = parent[step]
-        if path and type(parent[path[-1]]) in (int, float):
-            leaves.append((parent, path[-1]))
-    parent, step = data.draw(st.sampled_from(leaves))
-    parent[step] = data.draw(OFF_ID if type(parent[step]) is int else OFF_NUMBER)
+    parent, step, leaf = data.draw(st.sampled_from(_typed_leaves(doc)))
+    if leaf == "key":
+        parent[data.draw(OFF_ID_KEY)] = parent.pop(step)
+    else:
+        number = OFF_GRAPH_NUMBER if kind in ("graph", "fig4a") else OFF_NUMBER
+        parent[step] = data.draw({"id": OFF_ID, "number": number, "string": OFF_STRING}[leaf])
     folder = tmp_path_factory.mktemp("doc")
     path = folder / "doc.json"
     path.write_text(json.dumps(doc))
@@ -264,7 +292,7 @@ def test_numbers_and_ids_off_their_json_type_exit_2(tmp_path_factory, command, d
         "form": [str(mesh), str(path), graph],
         "targets": [str(mesh), graph, str(path)],
         "circulation": [graph, str(path)],
-    }[kind]
+    }.get(kind, [str(path)])
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
