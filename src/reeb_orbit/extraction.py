@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -112,58 +113,110 @@ class ExtractionContext:
         j, ci = self.edge_members[eid][0]
         return self.band_values[j], self.band_components[j][ci]
 
-    def edge_triangles(self, eid: int) -> list[tuple[int, list[int]]]:
+    def edge_triangles(self, eid: int) -> list[tuple[int, np.ndarray]]:
         """(band, the edge's triangles in that band's slab), in band order."""
         out = []
         for j, ci in self.edge_members[eid]:
-            regions = self.band_regions[j]
-            root = regions[self.band_components[j][ci].chords[0].tri]
-            out.append((j, [tri for tri, r in regions.items() if r == root]))
+            tris, roots = self._band_arrays[j]
+            root = self.band_regions[j][self.band_components[j][ci].chords[0].tri]
+            out.append((j, tris[roots == root]))
         return out
+
+    @cached_property
+    def _band_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each band region map as (triangles, roots) arrays."""
+        return [
+            (np.fromiter(regions, int, len(regions)), np.fromiter(regions.values(), int, len(regions)))
+            for regions in self.band_regions
+        ]
 
 
 # -- vectorized clipped areas ----------------------------------------------------
 
 
-def _area_below(vals: np.ndarray, areas: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Total weighted area below each level, for triangles with sorted values.
-
-    One row of clipped fractions per level; each row is summed on its own
-    with ``np.dot`` so every total is the same float as a one-level call.
-    """
-    f1, f2, f3 = vals[:, 0], vals[:, 1], vals[:, 2]
-    t = levels[:, None]
-    frac = np.zeros((len(t), len(vals)))
-    lo_band = (t > f1) & (t <= f2)
+def _frac_below(vals: np.ndarray, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Fraction of a triangle's area below a level, per (level, triangle)
+    cell: ``cells`` holds the cells' triangles as columns of ``vals``, whose
+    rows are the triangles' corner values in ascending order, and ``t`` the
+    cells' levels.  Only the cells whose level cuts the triangle's interior
+    take the quadratic formula."""
+    f1, f2, f3 = vals
+    top = f3[cells]
+    frac = (t >= top).astype(float)
+    inside = (t > f1[cells]) & (t < top)
+    low = t <= f2[cells]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (f2 - f1) * (f3 - f1)
-        frac_lo = np.where(d1 > 0.0, (t - f1) ** 2 / np.where(d1 > 0, d1, 1.0), 0.0)
-        d2 = (f3 - f2) * (f3 - f1)
-        frac_hi = np.where(d2 > 0.0, 1.0 - (f3 - t) ** 2 / np.where(d2 > 0, d2, 1.0), 1.0)
-    frac = np.where(lo_band, frac_lo, frac)
-    frac = np.where((t > f2) & (t < f3), frac_hi, frac)
-    frac = np.where(t >= f3, 1.0, frac)
-    return np.array([np.dot(areas, row) for row in frac])
+        i = np.flatnonzero(inside & low)
+        lo, mid, hi = vals[:, cells[i]]
+        d = (mid - lo) * (hi - lo)
+        frac[i] = np.where(d > 0.0, (t[i] - lo) ** 2 / np.where(d > 0, d, 1.0), 0.0)
+        i = np.flatnonzero(inside & ~low)
+        lo, mid, hi = vals[:, cells[i]]
+        d = (hi - mid) * (hi - lo)
+        frac[i] = np.where(d > 0.0, 1.0 - (hi - t[i]) ** 2 / np.where(d > 0, d, 1.0), 1.0)
+    return frac
 
 
-# level-by-triangle cells per broadcast of _area_below: bounds its temporaries,
-# which would otherwise grow as K times T on a large region
-_AREA_BLOCK_CELLS = 16384
+# (level, triangle) cells per call of _frac_below: bounds its temporaries,
+# which would otherwise grow as K times T
+_AREA_BLOCK_CELLS = 8192
 
 
-def _region_cum(
-    s: PLSurface, tris: list[int], clip_lo: float, clip_hi: float, grid: np.ndarray
-) -> np.ndarray:
-    """Area of the clipped region below each grid value; the grid starts at
-    or below ``clip_lo``, so its first clipped value is the lower clip."""
-    vals = np.sort(s.f[s.triangles[tris]], axis=1)
-    areas = s.areas[tris]
-    levels = np.clip(grid, clip_lo, clip_hi)
-    rows = max(1, _AREA_BLOCK_CELLS // len(vals))
-    below = np.concatenate(
-        [_area_below(vals, areas, levels[i : i + rows]) for i in range(0, len(levels), rows)]
-    )
-    return below - below[0]
+def _profiles(ctx: ExtractionContext, samples: int) -> list[MeasureProfile]:
+    """Profile step: each edge's cumulative area on ``samples`` + 1 uniform
+    values from its tail's field value to its head's, in edge id order.
+
+    The (edge, band) regions are stacked, each with the edge's grid clipped
+    to the band as its levels, and the clipped fractions of all (level,
+    triangle) cells are evaluated in blocks of at most _AREA_BLOCK_CELLS
+    cells, a block boundary falling between two levels of a region when it
+    must.  Each level's area is one ``np.dot`` over the region's own
+    triangles, so every float is the one a region-by-region evaluation gives.
+    """
+    s, crit = ctx.surface, ctx.critical_values
+    width = samples + 1
+    edges, tris, levels = [], [], []  # edges: (f_lo, f_hi, end of its regions)
+    for eid, members in ctx.edge_members.items():
+        lo, hi = crit[members[0][0]], crit[members[-1][0] + 1]
+        grid = np.linspace(lo, hi, width)
+        for j, region in ctx.edge_triangles(eid):
+            tris.append(region)
+            levels.append(np.clip(grid, crit[j], crit[j + 1]))
+        edges.append((lo, hi, len(tris)))
+    sizes = [len(region) for region in tris]
+    vals = level_tables(s).sorted_f[:, np.concatenate(tris)]
+    areas = [s.areas[region] for region in tris]
+    # row r * width + i is level i of region r, over the region's cells
+    row_size = np.repeat(sizes, width)
+    row_start = np.repeat(np.cumsum(sizes) - sizes, width)
+    row_level = np.concatenate(levels)
+    below = np.empty(len(row_level))
+
+    def integrate(first: int, stop: int) -> None:
+        n = row_size[first:stop]
+        ends = np.cumsum(n)
+        cells = np.repeat(row_start[first:stop] - (ends - n), n) + np.arange(ends[-1])
+        frac = _frac_below(vals, cells, np.repeat(row_level[first:stop], n))
+        for row, end in zip(range(first, stop), ends.tolist()):
+            r = row // width
+            below[row] = np.dot(areas[r], frac[end - sizes[r] : end])
+
+    first = cells = 0
+    for row, size in enumerate(row_size.tolist()):
+        if cells and cells + size > _AREA_BLOCK_CELLS:
+            integrate(first, row)
+            first, cells = row, 0
+        cells += size
+    integrate(first, len(below))
+
+    profiles, start = [], 0
+    for lo, hi, end in edges:
+        cum = np.zeros(width)
+        for region in below.reshape(-1, width)[start:end]:
+            cum += region - region[0]
+        profiles.append(MeasureProfile(lo, hi, cum))
+        start = end
+    return profiles
 
 
 # -- main extraction --------------------------------------------------------------
@@ -175,8 +228,9 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
         raise DataError(f"need at least 2 samples per edge, got {samples}")
     vertices, edge_specs, cyclic_orders, ctx = _witness(s)
     graph_edges: list[ReebEdge] = []
-    for eid, (tail, head, style) in enumerate(edge_specs, start=1):
-        profile = _edge_profile(ctx, eid, samples)
+    for eid, (tail, head, style), profile in zip(
+        ctx.edge_members, edge_specs, _profiles(ctx, samples)
+    ):
         if np.any(np.diff(profile.cumulative) <= 0.0):
             raise UnclassifiableTransition(
                 f"edge {eid}: measure profile is not strictly increasing"
@@ -185,19 +239,6 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     graph = MeasuredReebGraph(vertices, graph_edges, cyclic_orders, context=ctx)
     graph.validate()
     return graph
-
-
-def _edge_profile(ctx: ExtractionContext, eid: int, samples: int) -> MeasureProfile:
-    """Profile step: the edge's cumulative area on ``samples`` + 1 uniform
-    values from its tail's field value to its head's."""
-    members = ctx.edge_members[eid]
-    crit_vals = ctx.critical_values
-    lo, hi = crit_vals[members[0][0]], crit_vals[members[-1][0] + 1]
-    grid = np.linspace(lo, hi, samples + 1)
-    cum = np.zeros(samples + 1)
-    for j, tris in ctx.edge_triangles(eid):
-        cum += _region_cum(ctx.surface, tris, crit_vals[j], crit_vals[j + 1], grid)
-    return MeasureProfile(lo, hi, cum)
 
 
 def _witness(s: PLSurface) -> tuple[
@@ -223,9 +264,7 @@ def _witness(s: PLSurface) -> tuple[
         pick_regular_value(crit_vals[j], crit_vals[j + 1], values) for j in range(m - 1)
     ]
     band_components = [trace_level(s, t) for t in band_values]
-    band_regions = [
-        slab_triangle_components(s, crit_vals[j], crit_vals[j + 1]) for j in range(m - 1)
-    ]
+    band_regions = slab_triangle_components(s, crit_vals)
     # each band component must sit in its own band region
     for j, comps in enumerate(band_components):
         roots = [band_regions[j][c.chords[0].tri] for c in comps]
@@ -238,10 +277,9 @@ def _witness(s: PLSurface) -> tuple[
     # events and pass-through gluing
     dsu = DSU()
     events: list[tuple[list[int], list[int]]] = []  # (below, above) per critical level
-    for j in range(m):
-        lo = band_values[j - 1] if j >= 1 else -math.inf
-        hi = band_values[j] if j <= m - 2 else math.inf
-        slab = slab_triangle_components(s, lo, hi)
+    # the slab around critical level j lies between the band levels beside it
+    event_slabs = slab_triangle_components(s, [-math.inf, *band_values, math.inf])
+    for j, slab in enumerate(event_slabs):
         event_root = slab[int(s.star_tri[crit_idx[j]])]
         groups: dict[int, tuple[list[int], list[int]]] = {}
         if j >= 1:
@@ -438,8 +476,8 @@ def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
         != {e.id: (e.tail, e.head, e.style) for e in graph.edges}
     ):
         raise NotSimpleMorse("graph does not match the surface's extraction")
-    for eid in ctx.edge_members:
-        mass, stated = _edge_profile(ctx, eid, 1).mass, graph.edge(eid).mass
+    for eid, profile in zip(ctx.edge_members, _profiles(ctx, 1)):
+        mass, stated = profile.mass, graph.edge(eid).mass
         if abs(mass - stated) > 1e-9 * max(1.0, abs(mass)):
             raise NotSimpleMorse("graph measures do not match the surface's extraction")
     if cyclic_orders != graph.cyclic_orders:
@@ -480,7 +518,7 @@ def cyclic_order(
     values = level_tables(s).values
     lo_val = pick_regular_value(v.f - eff, v.f, values)
     hi_val = pick_regular_value(v.f, v.f + eff, values)
-    slab = slab_triangle_components(s, lo_val, hi_val)
+    (slab,) = slab_triangle_components(s, [lo_val, hi_val])
     event_root = slab[int(s.star_tri[ctx.critical_vertices[j]])]
 
     def lid_level(t: float) -> LidLevel:

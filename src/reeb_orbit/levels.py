@@ -84,14 +84,16 @@ class LevelComponent:
 class LevelTables:
     """Per-surface arrays that the level passes read.
 
-    ``values`` holds the distinct field values in ascending order, ``adj``
-    the triangle pair of each interior mesh edge and ``adj_fmin``/``adj_fmax``
-    the field extent of that shared edge; ``boundary_positions`` maps each
-    boundary edge key to (polygon index, position in the polygon, directed
-    pair).
+    ``values`` holds the distinct field values in ascending order, row k of
+    ``sorted_f`` the k-th smallest corner value of each triangle (so
+    ``fmin``/``fmax`` are its first and last rows), ``adj`` the triangle
+    pair of each interior mesh edge and ``adj_fmin``/``adj_fmax`` the field
+    extent of that shared edge; ``boundary_positions`` maps each boundary edge
+    key to (polygon index, position in the polygon, directed pair).
     """
 
     values: np.ndarray
+    sorted_f: np.ndarray
     fmin: np.ndarray
     fmax: np.ndarray
     adj: np.ndarray
@@ -108,12 +110,13 @@ def level_tables(s: PLSurface) -> LevelTables:
     """
     tables = getattr(s, "_level_tables", None)
     if tables is None:
-        tri_f = s.f[s.triangles]
+        sorted_f = np.sort(s.f[s.triangles], axis=1).T.copy()
         edge_f = s.f[s.interior_ends]
         tables = LevelTables(
             values=np.unique(s.f),
-            fmin=tri_f.min(axis=1),
-            fmax=tri_f.max(axis=1),
+            sorted_f=sorted_f,
+            fmin=sorted_f[0],
+            fmax=sorted_f[2],
             adj=s.interior_tris,
             adj_fmin=edge_f.min(axis=1),
             adj_fmax=edge_f.max(axis=1),
@@ -189,19 +192,56 @@ def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
     return components
 
 
-def slab_triangle_components(
-    s: PLSurface, lo: float, hi: float
-) -> dict[int, int]:
-    """Connected components of the open slab {lo < f < hi}.
+def _expand_runs(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(item, slab) of every slab in each item's run [first, stop), item by
+    item; an empty or inverted run adds nothing."""
+    counts = np.maximum(stop - first, 0)
+    item = np.repeat(np.arange(len(first)), counts)
+    return item, first[item] + np.arange(len(item)) - (np.cumsum(counts) - counts)[item]
 
-    Returns a map from each triangle meeting the slab in a 2-dimensional piece
-    to a deterministic component root (smallest triangle index), in
-    increasing triangle order.
+
+def _slab_labels(tables: LevelTables, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The (slab, triangle) nodes of slab_triangle_components as the node
+    triangles, their roots and each slab's first node (then the node count).
+
+    A triangle, and an interior edge, meets a contiguous run of slabs, so one
+    min_labels pass over the nodes, ordered by slab and then by triangle,
+    labels every slab: links join nodes of one slab only, so the smallest
+    node of a component is that of its smallest triangle.
     """
-    tables = level_tables(s)
-    member = (tables.fmin < hi) & (tables.fmax > lo) & (tables.fmin < tables.fmax)
+    n = len(tables.fmin)
+
+    def slab_runs(fmin: np.ndarray, fmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the slabs j with fmin < cuts[j + 1] and cuts[j] < fmax
+        return np.searchsorted(cuts[1:], fmin, "right"), np.searchsorted(cuts[:-1], fmax, "left")
+
+    first, stop = slab_runs(tables.fmin, tables.fmax)
+    stop[tables.fmin == tables.fmax] = 0  # a flat triangle has no area in any slab
+    tri, slab = _expand_runs(first, stop)
+    nodes = np.sort(slab * n + tri)
     a, b = tables.adj[:, 0], tables.adj[:, 1]
-    linked = (tables.adj_fmin < hi) & (tables.adj_fmax > lo) & member[a] & member[b]
-    label = min_labels(len(member), a[linked], b[linked])
-    members = np.flatnonzero(member)
-    return dict(zip(members.tolist(), label[members].tolist()))
+    e_first, e_stop = slab_runs(tables.adj_fmin, tables.adj_fmax)
+    # an edge links its two triangles in the slabs that both of them meet
+    edge, slab = _expand_runs(e_first, np.minimum(e_stop, np.minimum(stop[a], stop[b])))
+    label = min_labels(
+        len(nodes),
+        np.searchsorted(nodes, slab * n + a[edge]),
+        np.searchsorted(nodes, slab * n + b[edge]),
+    )
+    tris = nodes % n
+    return tris, tris[label], np.searchsorted(nodes, np.arange(len(cuts)) * n).tolist()
+
+
+def slab_triangle_components(s: PLSurface, cuts) -> list[dict[int, int]]:
+    """Connected components of every open slab {cuts[j] < f < cuts[j + 1]},
+    for ``cuts`` ascending.
+
+    Returns one map per slab, from each triangle meeting the slab in a
+    2-dimensional piece to a deterministic component root (smallest triangle
+    index), in increasing triangle order.
+    """
+    tris, roots, bounds = _slab_labels(level_tables(s), np.asarray(cuts, dtype=float))
+    return [
+        dict(zip(tris[lo:hi].tolist(), roots[lo:hi].tolist()))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]

@@ -10,12 +10,9 @@ import numpy as np
 
 from .errors import DataError, ParseError
 from .reebgraph import MeasuredReebGraph, MeasureProfile, ReebEdge, ReebVertex
-from .surface import JSON_ARRAY, JSON_INT, JSON_NUMBER, JSON_STRING, PLSurface
+from .surface import ID_KEY, JSON_ARRAY, JSON_INT, JSON_NUMBER, JSON_STRING, PLSurface
 from .surface import decode_json, json_column, json_records
 
-# an id in a JSON object key: canonical decimal, as str(int) writes it, so no
-# id has two keys; \d is ASCII only, as int() would take other digits
-ID_KEY = re.compile(r"0|-?[1-9]\d*", re.ASCII)
 EDGE_KEY = re.compile(f"({ID_KEY.pattern})-({ID_KEY.pattern})", re.ASCII)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -449,6 +450,10 @@ JSON_NUMBER = (frozenset({int, float}), float)
 JSON_STRING = (frozenset({str}), None)
 JSON_ARRAY = (frozenset({list}), None)
 
+# an id in a JSON object key: canonical decimal, as str(int) writes it, so no
+# id has two keys; \d is ASCII only, as int() would take other digits
+ID_KEY = re.compile(r"0|-?[1-9]\d*", re.ASCII)
+
 
 def json_column(values: list, json_type: tuple) -> Any:
     """``values`` as one column of ``json_type``, or None when a value is of
@@ -555,9 +560,11 @@ def remap(s: PLSurface, map_spec: dict[str, Any]) -> PLSurface:
     ``refine`` (one barycentric refinement, each face split into six children
     of one sixth the weight).
     """
+    if not isinstance(map_spec, dict):
+        raise ParseError("map spec must be an object with a 'kind'")
     kind = map_spec.get("kind")
     if kind == "relabel":
-        mapping = {int(k): int(v) for k, v in map_spec["mapping"].items()}
+        mapping = _relabel_mapping(map_spec.get("mapping"))
         if sorted(mapping) != sorted(s.vertex_ids) or len(set(mapping.values())) != len(mapping):
             raise UnsupportedMap("relabel mapping must be a bijection on vertex ids")
         new_ids = [mapping[vid] for vid in s.vertex_ids]
@@ -571,13 +578,32 @@ def remap(s: PLSurface, map_spec: dict[str, Any]) -> PLSurface:
     if kind == "shear":
         if s.xy is None:
             raise UnsupportedMap("shear requires vertex coordinates")
-        factor = float(map_spec.get("factor", 0.0))
+        raw = map_spec.get("factor", 0.0)
+        factor = json_column([raw], JSON_NUMBER)
+        if factor is None or not np.isfinite(factor[0]):
+            raise ParseError(f"shear factor must be a finite number, got {raw!r}")
         xy = s.xy.copy()
-        xy[:, 1] += factor * xy[:, 0]
+        xy[:, 1] += factor[0] * xy[:, 0]
         return PLSurface(list(s.vertex_ids), s.f.copy(), s.triangles.copy(), s.areas.copy(), xy)
     if kind == "refine":
         return _barycentric_refine(s)
     raise UnsupportedMap(f"unknown map kind {kind!r}")
+
+
+def _relabel_mapping(raw: Any) -> dict[int, int]:
+    """A relabel mapping read by type: each key an int or a canonical decimal
+    id string, each value an int; bools and floats are not ids."""
+    if not isinstance(raw, dict):
+        raise ParseError("relabel mapping must be an object from vertex ids to vertex ids")
+    mapping = {}
+    for key, value in raw.items():
+        vid = int(key) if type(key) is str and ID_KEY.fullmatch(key) else key
+        if type(vid) is not int or type(value) is not int:
+            raise ParseError(f"relabel entry {key!r}: {value!r} is not a vertex id to an integer id")
+        mapping[vid] = value
+    if len(mapping) != len(raw):
+        raise ParseError("two relabel keys name the same vertex id")
+    return mapping
 
 
 def _barycentric_refine(s: PLSurface) -> PLSurface:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +189,7 @@ def test_witness_masses_are_the_last_profile_samples():
     # its mass must be the very float a K-sample profile ends in
     for s in _witness_meshes():
         _, edge_specs, _, ctx = extraction._witness(s)
-        masses = [extraction._edge_profile(ctx, eid, 1).mass for eid in ctx.edge_members]
+        masses = [profile.mass for profile in extraction._profiles(ctx, 1)]
         assert len(masses) == len(edge_specs)
         for samples in (2, 12, 64):
             g = extract_reeb(s, samples=samples)
@@ -196,22 +197,23 @@ def test_witness_masses_are_the_last_profile_samples():
 
 
 def test_reattachment_integrates_two_levels_per_region(monkeypatch):
-    # the lower clip was integrated twice, as a prepended row and as the
-    # first clipped grid value: 3 level rows per region for a 2-level grid
+    # a re-attachment evaluates each region's triangles at the 2 levels of
+    # its one-interval grid, the lower clip not a second time
     from reeb_orbit.serialize import graph_from_dict, graph_to_dict
 
     s = torus_with_hole_mesh()
     g = graph_from_dict(graph_to_dict(extract_reeb(s, samples=8)))
-    rows = []
-    area_below = extraction._area_below
+    cells = []
+    frac_below = extraction._frac_below
 
-    def counting(vals, areas, levels):
-        rows.append(len(levels))
-        return area_below(vals, areas, levels)
+    def counting(vals, tris, levels):
+        cells.append(len(levels))
+        return frac_below(vals, tris, levels)
 
-    monkeypatch.setattr(extraction, "_area_below", counting)
+    monkeypatch.setattr(extraction, "_frac_below", counting)
     ctx = extraction.ensure_context(s, g)
-    assert sum(rows) == 2 * sum(len(members) for members in ctx.edge_members.values())
+    region_tris = [len(tris) for eid in ctx.edge_members for _, tris in ctx.edge_triangles(eid)]
+    assert sum(cells) == 2 * sum(region_tris)
 
 
 def test_samples_below_two_are_a_data_error(disk):
@@ -460,30 +462,62 @@ def test_level_kernels_match_reference_loops(name):
     g = extract_reeb(s, samples=16)
     ctx = g.context
     crit, bands = ctx.critical_values, ctx.band_values
-    m = len(crit)
-    # the band slabs and the slabs around each critical level
-    slabs = [(crit[j], crit[j + 1]) for j in range(m - 1)]
-    slabs += [
-        (bands[j - 1] if j >= 1 else -math.inf, bands[j] if j <= m - 2 else math.inf)
-        for j in range(m)
-    ]
-    for lo, hi in slabs:
-        got = slab_triangle_components(s, lo, hi)
-        assert list(got.items()) == list(reference_slab_components(s, lo, hi).items())
+    # the band slabs and the slabs around each critical level, one call each
+    for cuts in (crit, [-math.inf, *bands, math.inf]):
+        slabs = slab_triangle_components(s, cuts)
+        assert len(slabs) == len(cuts) - 1
+        for j, got in enumerate(slabs):
+            want = reference_slab_components(s, cuts[j], cuts[j + 1])
+            assert list(got.items()) == list(want.items())
     for t in bands:
         chords = {c.tri: c for comp in trace_level(s, t) for c in comp.chords}
         assert dict(sorted(chords.items())) == reference_chords(s, t)
-    for e in g.edges:
-        grid = e.profile.grid()
-        for band, tris in ctx.edge_triangles(e.id):
-            got = extraction._region_cum(s, tris, crit[band], crit[band + 1], grid)
-            want = reference_region_cum(s, tris, crit[band], crit[band + 1], grid)
-            assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_batched_profiles_match_reference_regions(name, monkeypatch):
+    # each edge's profile is the sum of its regions' reference rows, float
+    # for float: at the block cap, where a refined mesh's K = 64 regions
+    # exceed it and are split between blocks, and at a cap below one row,
+    # where every row is a block of its own
+    s = _kernel_case(name)
+    ctx = extraction._witness(s)[3]
+    crit = ctx.critical_values
+    for cap in (extraction._AREA_BLOCK_CELLS, 5):
+        monkeypatch.setattr(extraction, "_AREA_BLOCK_CELLS", cap)
+        for samples in (1, 12, 64):
+            want, largest = [], 0
+            for eid, members in ctx.edge_members.items():
+                grid = np.linspace(crit[members[0][0]], crit[members[-1][0] + 1], samples + 1)
+                cum = np.zeros(samples + 1)
+                for band, tris in ctx.edge_triangles(eid):
+                    cum += reference_region_cum(s, tris, crit[band], crit[band + 1], grid)
+                    largest = max(largest, (samples + 1) * len(tris))
+                want.append(cum.tolist())
+            assert [p.cumulative.tolist() for p in extraction._profiles(ctx, samples)] == want
+            if name.endswith("-refined") and samples == 64:
+                assert largest > cap
+
+
+def test_extraction_peak_memory_is_bounded():
+    # the blocks of (level, triangle) cells and the two slab passes hold
+    # extraction's traced peak on a refined benchmark-sized mesh (T = 2916)
+    # within 10% of the 1.084 MB that region-by-region integration and one
+    # pass per slab took
+    s = remap(realize(random_measured_graph(20009), resolution=6).surface, {"kind": "refine"})
+    tracemalloc.start()
+    try:
+        extract_reeb(s, samples=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 1_084_000
 
 
 def test_extraction_traces_each_band_once(monkeypatch):
-    # one traced level per band and one slab per band and per critical level;
-    # the cyclic-order walk reuses the band levels and the event slab
+    # one traced level per band and one slab pass per slab family (the band
+    # slabs and the slabs around the critical levels); the cyclic-order walk
+    # reuses the band levels and the event slabs
     s = realize(random_measured_graph(20000), resolution=6).surface
     calls = {"trace_level": 0, "slab_triangle_components": 0}
     for name in calls:
@@ -497,4 +531,4 @@ def test_extraction_traces_each_band_once(monkeypatch):
     g = extract_reeb(s, samples=12)
     m = len(g.vertices)
     assert g.cyclic_orders
-    assert calls == {"trace_level": m - 1, "slab_triangle_components": 2 * m - 1}
+    assert calls == {"trace_level": m - 1, "slab_triangle_components": 2}

@@ -223,6 +223,40 @@ def test_remap_unknown_kind(disk):
         remap(disk, {"kind": "rotate"})
 
 
+def test_remap_reads_its_spec_by_type():
+    # relabel keys are ints or canonical id strings and values ints; a shear
+    # factor is a finite int or float; nothing is coerced
+    s = square_mesh(2)
+    ids = list(s.vertex_ids)
+    shifted = {i: i + 100 for i in ids}
+    assert remap(s, {"kind": "relabel", "mapping": shifted}).vertex_ids == [i + 100 for i in ids]
+    by_string = {str(i): i + 100 for i in ids}
+    assert remap(s, {"kind": "relabel", "mapping": by_string}).vertex_ids == [i + 100 for i in ids]
+    for factor in (0.5, 1):
+        assert np.array_equal(remap(s, {"kind": "shear", "factor": factor}).xy[:, 1],
+                              s.xy[:, 1] + float(factor) * s.xy[:, 0])
+    bad_mappings = [
+        {**shifted, ids[0]: 101.7},
+        {**shifted, ids[0]: True},
+        {**shifted, ids[0]: "101"},
+        {**shifted, "a": 1000},
+        {**{k: v for k, v in shifted.items() if k != ids[1]}, f"0{ids[1]}": ids[1] + 100},
+        {**{k: v for k, v in shifted.items() if k != ids[1]}, float(ids[1]): ids[1] + 100},
+        {**shifted, str(ids[0]): 1000},
+        list(shifted.items()),
+    ]
+    for mapping in bad_mappings:
+        with pytest.raises(ParseError):
+            remap(s, {"kind": "relabel", "mapping": mapping})
+    for factor in ("0.5", True, math.nan, math.inf, 10**400, None):
+        with pytest.raises(ParseError):
+            remap(s, {"kind": "shear", "factor": factor})
+    with pytest.raises(ParseError):
+        remap(s, {"kind": "relabel"})
+    with pytest.raises(ParseError):
+        remap(s, ["relabel"])
+
+
 def test_square_mesh_valid():
     s = square_mesh(3)
     assert validate_simple_morse(s).is_simple_morse
