@@ -17,7 +17,6 @@ from .errors import (
     NotSimpleMorse,
     ParseError,
     ReebOrbitError,
-    SlabTooWide,
     TopologyError,
     UnclassifiableTransition,
     UnsupportedMap,

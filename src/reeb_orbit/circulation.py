@@ -319,7 +319,6 @@ class LiftedEdge:
 @dataclass
 class SingularTree:
     vertex_id: int
-    nodes: list[Node]
     # adjacency with the functional of each tree edge, keyed by (node, node)
     edges: list[tuple[Node, Node, dict[int, float]]]
 
@@ -485,7 +484,7 @@ def _singular_tree(s: PLSurface, ctx: ExtractionContext, vid: int) -> SingularTr
     nodes = {root} | {node for x, y, _ in component_edges for node in (x, y)}
     if len(component_edges) != len(nodes) - 1:
         raise InvalidGraph(f"singular level at vertex {vid} is not simply connected")
-    return SingularTree(vid, sorted(nodes, key=repr), component_edges)
+    return SingularTree(vid, component_edges)
 
 
 def lift_dashed_graph(s: PLSurface, g: MeasuredReebGraph) -> LiftedGraph:
@@ -584,17 +583,13 @@ def _probe_circle(ctx: ExtractionContext, e: ReebEdge) -> tuple[float, LevelComp
     return probe, comp
 
 
-def augment(s: PLSurface, a: DiscreteOneForm, g: Optional[MeasuredReebGraph] = None) -> AugmentedCirculationGraph:
+def augment(s: PLSurface, a: DiscreteOneForm, g: MeasuredReebGraph) -> AugmentedCirculationGraph:
     """Augmented circulation graph of a form over the extracted field graph.
 
     Circulation limits are read at one canonical probe level per solid edge
     and transported to the endpoints with the profile moment, so synthesis
     followed by this extraction is exact up to solver tolerance.
     """
-    if g is None:
-        from .extraction import extract_reeb
-
-        g = extract_reeb(s)
     ctx = ensure_context(s, g)
     limits = {}
     for e in g.solid_edges():

@@ -30,10 +30,6 @@ class UnclassifiableTransition(ReebOrbitError):
     """Level transition at a critical component matches no vertex type."""
 
 
-class SlabTooWide(ReebOrbitError):
-    """Slab around a critical value could not be shrunk to a proper one."""
-
-
 class InsufficientSamples(ReebOrbitError):
     """Asymptotic fit requested with a window larger than the profile."""
 

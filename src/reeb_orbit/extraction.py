@@ -14,21 +14,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    InsufficientSamples,
-    NotSimpleMorse,
-    SlabTooWide,
-    UnclassifiableTransition,
-)
+from .errors import DataError, InsufficientSamples, NotSimpleMorse, UnclassifiableTransition
 from .levels import (
     DSU,
     LevelComponent,
+    SlabLabels,
     crossing_param,
     level_tables,
     pick_regular_value,
@@ -94,9 +87,10 @@ class ExtractionContext:
     critical_values: list[float]
     band_values: list[float]
     band_components: list[list[LevelComponent]]
-    band_regions: list[dict[int, int]]  # per band: triangle -> region root
+    band_labels: SlabLabels  # the band slabs between consecutive critical values
+    node_edge: np.ndarray  # edge id of each band node's region
     edge_members: dict[int, list[tuple[int, int]]]  # edge id -> [(band, comp index)]
-    region_edge: dict[tuple[int, int], int]  # (band, root) -> edge id
+    cyclic_orders: dict[int, tuple[int, ...]]  # from the slab boundary walk
 
     def band_of(self, value: float) -> int:
         j = bisect.bisect_left(self.critical_values, value) - 1
@@ -105,8 +99,8 @@ class ExtractionContext:
         return j
 
     def edge_of_component(self, value: float, comp: LevelComponent) -> int:
-        j = self.band_of(value)
-        return self.region_edge[(j, self.band_regions[j][comp.chords[0].tri])]
+        node = self.band_labels.nodes(self.band_of(value), comp.chords[0].tri)
+        return int(self.node_edge[node])
 
     def probe_component(self, eid: int) -> tuple[float, LevelComponent]:
         """The edge's probe level (its first band value) and its component there."""
@@ -114,21 +108,13 @@ class ExtractionContext:
         return self.band_values[j], self.band_components[j][ci]
 
     def edge_triangles(self, eid: int) -> list[tuple[int, np.ndarray]]:
-        """(band, the edge's triangles in that band's slab), in band order."""
+        """(band, the edge's triangles in that band's slab, ascending), in band order."""
         out = []
-        for j, ci in self.edge_members[eid]:
-            tris, roots = self._band_arrays[j]
-            root = self.band_regions[j][self.band_components[j][ci].chords[0].tri]
-            out.append((j, tris[roots == root]))
+        for j, _ in self.edge_members[eid]:
+            band = self.band_labels.slab(j)
+            region = band.start + np.flatnonzero(self.node_edge[band] == eid)
+            out.append((j, self.band_labels.triangles(region)))
         return out
-
-    @cached_property
-    def _band_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each band region map as (triangles, roots) arrays."""
-        return [
-            (np.fromiter(regions, int, len(regions)), np.fromiter(regions.values(), int, len(regions)))
-            for regions in self.band_regions
-        ]
 
 
 # -- vectorized clipped areas ----------------------------------------------------
@@ -226,7 +212,7 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     """Measured Reeb graph of the field on s, with K = ``samples`` per edge."""
     if samples < 2:
         raise DataError(f"need at least 2 samples per edge, got {samples}")
-    vertices, edge_specs, cyclic_orders, ctx = _witness(s)
+    vertices, edge_specs, ctx = _witness(s)
     graph_edges: list[ReebEdge] = []
     for eid, (tail, head, style), profile in zip(
         ctx.edge_members, edge_specs, _profiles(ctx, samples)
@@ -236,17 +222,17 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
                 f"edge {eid}: measure profile is not strictly increasing"
             )
         graph_edges.append(ReebEdge(eid, tail, head, style, profile))
-    graph = MeasuredReebGraph(vertices, graph_edges, cyclic_orders, context=ctx)
+    graph = MeasuredReebGraph(vertices, graph_edges, ctx.cyclic_orders, context=ctx)
     graph.validate()
     return graph
 
 
 def _witness(s: PLSurface) -> tuple[
-    list[ReebVertex], list[tuple[int, int, str]], dict[int, tuple[int, ...]], ExtractionContext
+    list[ReebVertex], list[tuple[int, int, str]], ExtractionContext
 ]:
     """Witness step: the extraction without its measure profiles; returns the
-    vertices, each edge's (tail, head, style) in id order, the cyclic orders
-    and the context."""
+    vertices, each edge's (tail, head, style) in id order and the context,
+    which holds the cyclic orders."""
     report = validate_simple_morse(s)
     if not report.is_simple_morse:
         raise NotSimpleMorse(
@@ -264,33 +250,45 @@ def _witness(s: PLSurface) -> tuple[
         pick_regular_value(crit_vals[j], crit_vals[j + 1], values) for j in range(m - 1)
     ]
     band_components = [trace_level(s, t) for t in band_values]
-    band_regions = slab_triangle_components(s, crit_vals)
-    # each band component must sit in its own band region
-    for j, comps in enumerate(band_components):
-        roots = [band_regions[j][c.chords[0].tri] for c in comps]
+    band_labels = slab_triangle_components(s, crit_vals)
+    # the slab around critical level j lies between the band levels beside it
+    event_labels = slab_triangle_components(s, [-math.inf, *band_values, math.inf])
+    # root nodes of each band component's region: in its band slab, and in
+    # the event slabs of the critical levels below and above the band
+    counts = [len(comps) for comps in band_components]
+    comp_band = np.repeat(np.arange(m - 1), counts)
+    comp_tri = [c.chords[0].tri for comps in band_components for c in comps]
+    bounds = np.cumsum([0, *counts]).tolist()
+
+    def by_band(roots: np.ndarray) -> list[list[int]]:
+        roots = roots.tolist()
+        return [roots[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    band_roots = by_band(band_labels.roots[band_labels.nodes(comp_band, comp_tri)])
+    lower_roots, upper_roots = map(
+        by_band, event_labels.roots[event_labels.nodes([comp_band, comp_band + 1], comp_tri)]
+    )
+    for j, roots in enumerate(band_roots):
         if len(set(roots)) != len(roots):
             raise UnclassifiableTransition(
                 f"band {j}: two level components share a region; "
                 "criticality escaped validation"
             )
+    # the event component of critical level j holds the star of its vertex
+    event_roots = event_labels.roots[event_labels.nodes(range(m), s.star_tri[crit_idx])].tolist()
 
     # events and pass-through gluing
     dsu = DSU()
     events: list[tuple[list[int], list[int]]] = []  # (below, above) per critical level
-    # the slab around critical level j lies between the band levels beside it
-    event_slabs = slab_triangle_components(s, [-math.inf, *band_values, math.inf])
-    for j, slab in enumerate(event_slabs):
-        event_root = slab[int(s.star_tri[crit_idx[j]])]
+    for j in range(m):
         groups: dict[int, tuple[list[int], list[int]]] = {}
         if j >= 1:
-            for ci, comp in enumerate(band_components[j - 1]):
-                root = slab[comp.chords[0].tri]
+            for ci, root in enumerate(upper_roots[j - 1]):
                 groups.setdefault(root, ([], []))[0].append(ci)
         if j <= m - 2:
-            for ci, comp in enumerate(band_components[j]):
-                root = slab[comp.chords[0].tri]
+            for ci, root in enumerate(lower_roots[j]):
                 groups.setdefault(root, ([], []))[1].append(ci)
-        below, above = groups.pop(event_root, ([], []))
+        below, above = groups.pop(event_roots[j], ([], []))
         events.append((below, above))
         for root, (bs, as_) in sorted(groups.items()):
             if len(bs) != 1 or len(as_) != 1:
@@ -338,24 +336,25 @@ def _witness(s: PLSurface) -> tuple[
     edge_specs.sort(key=lambda spec: (spec[0], spec[1], spec[2][0]))
 
     edge_members = {eid: spec[2] for eid, spec in enumerate(edge_specs, start=1)}
+    # each band region's edge, at its root node
+    root_edge = np.zeros(len(band_labels.keys), dtype=int)
+    for eid, members in edge_members.items():
+        for j, ci in members:
+            root_edge[band_roots[j][ci]] = eid
     ctx = ExtractionContext(
         surface=s,
         critical_vertices=crit_idx,
         critical_values=crit_vals,
         band_values=band_values,
         band_components=band_components,
-        band_regions=band_regions,
+        band_labels=band_labels,
+        node_edge=root_edge[band_labels.roots],
         edge_members=edge_members,
-        region_edge={
-            (j, band_regions[j][band_components[j][ci].chords[0].tri]): eid
-            for eid, members in edge_members.items()
-            for j, ci in members
-        },
+        cyclic_orders={},
     )
     # the lids of a cyclic-order vertex are the band levels on either side,
     # already traced, and its event slab already sorted them into below/above
     dashed = [v for tail, head, _, style in edge_specs if style == "dashed" for v in (tail, head)]
-    cyclic_orders: dict[int, tuple[int, ...]] = {}
     for j, (below, above) in enumerate(events):
         if dashed.count(j + 1) >= 3:
             order = _cyclic_order_walk(
@@ -364,8 +363,8 @@ def _witness(s: PLSurface) -> tuple[
                 (band_values[j - 1], band_components[j - 1], below),
                 (band_values[j], band_components[j], above),
             )
-            cyclic_orders[j + 1] = _canonical_rotation(order)
-    return graph_vertices, [(t, h, style) for t, h, _, style in edge_specs], cyclic_orders, ctx
+            ctx.cyclic_orders[j + 1] = _canonical_rotation(order)
+    return graph_vertices, [(t, h, style) for t, h, _, style in edge_specs], ctx
 
 
 def _canonical_rotation(order: list[int]) -> tuple[int, ...]:
@@ -466,7 +465,7 @@ def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
     """
     if graph.context is not None and graph.context.surface is s:
         return graph.context
-    vertices, edge_specs, cyclic_orders, ctx = _witness(s)
+    vertices, edge_specs, ctx = _witness(s)
     if (
         len(vertices) != len(graph.vertices)
         or len(edge_specs) != len(graph.edges)
@@ -480,55 +479,24 @@ def ensure_context(s: PLSurface, graph: MeasuredReebGraph) -> ExtractionContext:
         mass, stated = profile.mass, graph.edge(eid).mass
         if abs(mass - stated) > 1e-9 * max(1.0, abs(mass)):
             raise NotSimpleMorse("graph measures do not match the surface's extraction")
-    if cyclic_orders != graph.cyclic_orders:
+    if ctx.cyclic_orders != graph.cyclic_orders:
         raise NotSimpleMorse("graph cyclic orders do not match the surface's extraction")
     graph.context = ctx
     return graph.context
 
 
-def cyclic_order(
-    s: PLSurface,
-    graph: MeasuredReebGraph,
-    vertex_id: int,
-    eps: Optional[float] = None,
-) -> tuple[int, ...]:
-    """Cyclic order of dashed edges at a vertex, from a slab of half-width eps.
-
-    The slab is auto-shrunk to stay strictly between adjacent critical values;
-    the result does not depend on eps within that range.
-    """
-    ctx: ExtractionContext = graph.context
-    if ctx is None or ctx.surface is not s:
-        ctx = ensure_context(s, graph)
-    v = graph.vertex(vertex_id)
-    degree = len(graph.dashed_edges_at(vertex_id))
-    if degree < 2:
+def cyclic_order(s: PLSurface, graph: MeasuredReebGraph, vertex_id: int) -> tuple[int, ...]:
+    """Cyclic order of the dashed edges at a vertex: the only one on two
+    edges, and on three or more the one the slab boundary walk of the
+    extraction found."""
+    ctx = ensure_context(s, graph)
+    graph.vertex(vertex_id)  # an unknown id raises KeyError
+    dashed = [e.id for e in graph.dashed_edges_at(vertex_id)]
+    if len(dashed) < 2:
         raise ValueError(f"vertex {vertex_id} has fewer than two dashed edges")
-    if degree == 2:
-        return _canonical_rotation([e.id for e in graph.dashed_edges_at(vertex_id)])
-    j = ctx.critical_values.index(v.f)
-    gap_below = v.f - ctx.critical_values[j - 1] if j >= 1 else math.inf
-    gap_above = ctx.critical_values[j + 1] - v.f if j + 1 < len(ctx.critical_values) else math.inf
-    gap = min(gap_below, gap_above)
-    if not math.isfinite(gap) or gap <= 0.0:
-        raise SlabTooWide(f"no room around critical value {v.f!r}")
-    eff = gap / 3.0 if eps is None else min(eps, gap / 3.0)
-    if eff <= 0.0:
-        raise SlabTooWide(f"slab half-width {eps!r} cannot be shrunk to a proper one")
-    values = level_tables(s).values
-    lo_val = pick_regular_value(v.f - eff, v.f, values)
-    hi_val = pick_regular_value(v.f, v.f + eff, values)
-    (slab,) = slab_triangle_components(s, [lo_val, hi_val])
-    event_root = slab[int(s.star_tri[ctx.critical_vertices[j]])]
-
-    def lid_level(t: float) -> LidLevel:
-        comps = trace_level(s, t)
-        return t, comps, [
-            ci for ci, c in enumerate(comps) if slab.get(c.chords[0].tri) == event_root
-        ]
-
-    order = _cyclic_order_walk(s, ctx, lid_level(lo_val), lid_level(hi_val))
-    return _canonical_rotation(order)
+    if len(dashed) == 2:
+        return _canonical_rotation(dashed)
+    return ctx.cyclic_orders[vertex_id]
 
 
 # -- measure asymptotics -------------------------------------------------------------

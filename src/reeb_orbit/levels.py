@@ -200,15 +200,47 @@ def _expand_runs(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.nd
     return item, first[item] + np.arange(len(item)) - (np.cumsum(counts) - counts)[item]
 
 
-def _slab_labels(tables: LevelTables, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The (slab, triangle) nodes of slab_triangle_components as the node
-    triangles, their roots and each slab's first node (then the node count).
+@dataclass(frozen=True)
+class SlabLabels:
+    """Connected components of the open slabs {cuts[j] < f < cuts[j + 1]}.
+
+    A node is a (slab, triangle) pair whose triangle meets the slab in a
+    2-dimensional piece.  Nodes are numbered by slab, then by triangle, and
+    the root of a node is the node of the smallest triangle of its component.
+    """
+
+    n_tris: int
+    keys: np.ndarray  # slab * n_tris + triangle of each node, ascending
+    roots: np.ndarray  # root node of each node
+
+    def slab(self, j: int) -> slice:
+        """The nodes of slab j, in ascending triangle order."""
+        lo, hi = np.searchsorted(self.keys, [j * self.n_tris, (j + 1) * self.n_tris]).tolist()
+        return slice(lo, hi)
+
+    def nodes(self, slabs, tris) -> np.ndarray:
+        """The node of each (slab, triangle) pair; each triangle must meet its slab."""
+        want = np.asarray(slabs) * self.n_tris + np.asarray(tris)
+        nodes = np.searchsorted(self.keys, want)
+        if not np.array_equal(self.keys.take(nodes, mode="clip"), want):
+            raise KeyError("a triangle does not meet its slab")
+        return nodes
+
+    def triangles(self, nodes) -> np.ndarray:
+        return self.keys[nodes] % self.n_tris
+
+
+def slab_triangle_components(s: PLSurface, cuts) -> SlabLabels:
+    """Connected components of every open slab {cuts[j] < f < cuts[j + 1]},
+    for ``cuts`` ascending.
 
     A triangle, and an interior edge, meets a contiguous run of slabs, so one
-    min_labels pass over the nodes, ordered by slab and then by triangle,
-    labels every slab: links join nodes of one slab only, so the smallest
-    node of a component is that of its smallest triangle.
+    min_labels pass over the nodes labels every slab: links join nodes of
+    one slab only, so the smallest node of a component is that of its
+    smallest triangle.
     """
+    tables = level_tables(s)
+    cuts = np.asarray(cuts, dtype=float)
     n = len(tables.fmin)
 
     def slab_runs(fmin: np.ndarray, fmax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,25 +255,9 @@ def _slab_labels(tables: LevelTables, cuts: np.ndarray) -> tuple[np.ndarray, np.
     e_first, e_stop = slab_runs(tables.adj_fmin, tables.adj_fmax)
     # an edge links its two triangles in the slabs that both of them meet
     edge, slab = _expand_runs(e_first, np.minimum(e_stop, np.minimum(stop[a], stop[b])))
-    label = min_labels(
+    roots = min_labels(
         len(nodes),
         np.searchsorted(nodes, slab * n + a[edge]),
         np.searchsorted(nodes, slab * n + b[edge]),
     )
-    tris = nodes % n
-    return tris, tris[label], np.searchsorted(nodes, np.arange(len(cuts)) * n).tolist()
-
-
-def slab_triangle_components(s: PLSurface, cuts) -> list[dict[int, int]]:
-    """Connected components of every open slab {cuts[j] < f < cuts[j + 1]},
-    for ``cuts`` ascending.
-
-    Returns one map per slab, from each triangle meeting the slab in a
-    2-dimensional piece to a deterministic component root (smallest triangle
-    index), in increasing triangle order.
-    """
-    tris, roots, bounds = _slab_labels(level_tables(s), np.asarray(cuts, dtype=float))
-    return [
-        dict(zip(tris[lo:hi].tolist(), roots[lo:hi].tolist()))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    return SlabLabels(n, nodes, roots)

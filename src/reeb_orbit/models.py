@@ -22,26 +22,34 @@ def _euclid_area(xy: list[tuple[float, float]], a: int, b: int, c: int) -> float
     return 0.5 * abs((xb - xa) * (yc - ya) - (xc - xa) * (yb - ya))
 
 
-def _from_grid(
+def _surface(
     points: list[tuple[float, float]],
     fvals: list[float],
-    quads: list[tuple[int, int, int, int]],
-    areas_from: str = "euclid",
+    tris: list[tuple[int, int, int]],
+    areas: list[float],
 ) -> PLSurface:
+    """The mesh with vertex ids 1, 2, ... in point order."""
+    ids = list(range(1, len(points) + 1))
+    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int), np.array(areas), np.array(points))
+
+
+def _split_quads(quads: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
     """Split quads (a, b, c, d) counterclockwise into two triangles each."""
     tris: list[tuple[int, int, int]] = []
     for a, b, c, d in quads:
         tris.append((a, b, c))
         tris.append((a, c, d))
-    areas = [_euclid_area(points, *t) for t in tris]
-    ids = list(range(1, len(points) + 1))
-    return PLSurface(
-        ids,
-        np.array(fvals),
-        np.array(tris, dtype=int),
-        np.array(areas),
-        np.array(points),
-    )
+    return tris
+
+
+def _from_grid(
+    points: list[tuple[float, float]],
+    fvals: list[float],
+    quads: list[tuple[int, int, int, int]],
+) -> PLSurface:
+    """The quads, split into triangles, with Euclidean areas."""
+    tris = _split_quads(quads)
+    return _surface(points, fvals, tris, [_euclid_area(points, *t) for t in tris])
 
 
 def disk_mesh(rings: int = 10, sectors: int = 24) -> PLSurface:
@@ -72,9 +80,7 @@ def disk_mesh(rings: int = 10, sectors: int = 24) -> PLSurface:
             c, d = hi + k, hi + (k + 1) % sectors
             tris.append((a, b, c))
             tris.append((b, d, c))
-    areas = [_euclid_area(points, *t) for t in tris]
-    ids = list(range(1, len(points) + 1))
-    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int), np.array(areas), np.array(points))
+    return _surface(points, fvals, tris, [_euclid_area(points, *t) for t in tris])
 
 
 def annulus_mesh(rings: int = 6, sectors: int = 40, r_in: float = 1.0, r_out: float = 2.0) -> PLSurface:
@@ -141,8 +147,7 @@ def sphere_mesh(bands: int = 24, sectors: int = 24) -> PLSurface:
     for k in range(sectors):
         tris.append((last + k, last + (k + 1) % sectors, top))
         areas.append(at)
-    ids = list(range(1, len(points) + 1))
-    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int), np.array(areas), np.array(points))
+    return _surface(points, fvals, tris, areas)
 
 
 def dumbbell_sphere_mesh(bands: int = 36, sectors: int = 36) -> PLSurface:
@@ -181,14 +186,9 @@ def tilted_cylinder_mesh(sectors: int = 48, levels: int = 30, amp: float = 0.25)
         for k in range(sectors):
             quads.append((lo + k, lo + (k + 1) % sectors, hi + (k + 1) % sectors, hi + k))
     # flat metric: areas of the parameter cells, independent of the rolled-up xy
-    tris: list[tuple[int, int, int]] = []
-    for a, b, c, d in quads:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
+    tris = _split_quads(quads)
     cell = (1.0 / sectors) * (height / levels)
-    areas = [cell / 2.0] * len(tris)
-    ids = list(range(1, len(points) + 1))
-    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int), np.array(areas), np.array(points))
+    return _surface(points, fvals, tris, [cell / 2.0] * len(tris))
 
 
 def parabolic_strip_mesh(nx: int = 48, ny: int = 36, width: float = 1.0, height: float = 0.8) -> PLSurface:
@@ -330,8 +330,7 @@ def torus_with_hole_mesh(
                 tris.append(tri)
                 areas.append(pa * r * (R + r * math.cos(ph_c)))
 
-    ids = list(range(1, len(points) + 1))
-    return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int), np.array(areas), np.array(points))
+    return _surface(points, fvals, tris, areas)
 
 
 def square_mesh(n: int = 2) -> PLSurface:

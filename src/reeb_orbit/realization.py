@@ -26,7 +26,6 @@ from .surface import PLSurface, TopologySummary, topology_summary
 @dataclass
 class RealizationResult:
     surface: PLSurface
-    witness: dict
 
 
 class _Builder:
@@ -41,10 +40,9 @@ class _Builder:
         self.xy.append([float(x), float(y)])
         return len(self.f) - 1
 
-    def triangle(self, a: int, b: int, c: int, area: float) -> int:
+    def triangle(self, a: int, b: int, c: int, area: float) -> None:
         self.tris.append((a, b, c))
         self.areas.append(float(area))
-        return len(self.tris) - 1
 
     def finish(self) -> PLSurface:
         ids = list(range(1, len(self.f) + 1))
@@ -69,7 +67,7 @@ def _band(
     high: list[int],
     cyclic: bool,
     area: float,
-) -> list[int]:
+) -> None:
     """Triangulate between two slot sequences with p+q uniform triangles."""
     p = len(low) if cyclic else len(low) - 1
     q = len(high) if cyclic else len(high) - 1
@@ -77,36 +75,28 @@ def _band(
         raise InvalidGraph("band needs at least one step on each side")
     total = p + q
     each = area / total
-    out = []
     i = j = 0
     while i < p or j < q:
         advance_low = i < p and (j >= q or (i + 1) * q <= (j + 1) * p)
         if advance_low:
-            out.append(
-                b.triangle(low[i], low[(i + 1) % len(low)], high[j % len(high)], each)
-            )
+            b.triangle(low[i], low[(i + 1) % len(low)], high[j % len(high)], each)
             i += 1
         else:
-            out.append(
-                b.triangle(low[i % len(low)], high[(j + 1) % len(high)], high[j % len(high)], each)
-            )
+            b.triangle(low[i % len(low)], high[(j + 1) % len(high)], high[j % len(high)], each)
             j += 1
-    return out
 
 
 def _cap_band(
     b: _Builder, apex: int, slots: list[int], cyclic: bool, area: float, apex_on_top: bool
-) -> list[int]:
+) -> None:
     q = len(slots) if cyclic else len(slots) - 1
     each = area / q
-    out = []
     for j in range(q):
         u, v = slots[j % len(slots)], slots[(j + 1) % len(slots)]
         if apex_on_top:
-            out.append(b.triangle(u, v, apex, each))
+            b.triangle(u, v, apex, each)
         else:
-            out.append(b.triangle(apex, v, u, each))
-    return out
+            b.triangle(apex, v, u, each)
 
 
 def _effective_grid(edge: ReebEdge) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +116,6 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
     n_solid = max(3, resolution // 2)
     n_dashed = max(2, resolution // 2)
     b = _Builder()
-    witness_vertices: dict[int, list[int]] = {}
-    witness_edges: dict[int, list[int]] = {}
 
     # ports[(edge id, end)] with end in {"tail", "head"}
     ports: dict[tuple[int, str], tuple[str, object]] = {}
@@ -135,12 +123,9 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
     for v in sorted(g.vertices, key=lambda v: v.id):
         c = v.f
         x0 = -10.0 * v.id
-        made: list[int] = []
 
         def new(x_off: float) -> int:
-            idx = b.vertex(c, x0 + x_off, c)
-            made.append(idx)
-            return idx
+            return b.vertex(c, x0 + x_off, c)
 
         in_d = sorted((e for e in g.edges if e.head == v.id and e.dashed), key=lambda e: e.id)
         out_d = sorted((e for e in g.edges if e.tail == v.id and e.dashed), key=lambda e: e.id)
@@ -236,7 +221,6 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
             ports[(x3e, "tail")] = (_SLOTS, [l30, w, l23])
         else:
             raise InvalidGraph(f"unknown vertex type {kind!r}")
-        witness_vertices[v.id] = made
 
     # blocks
     for e in sorted(g.edges, key=lambda e: e.id):
@@ -253,7 +237,6 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
             rows.append((_SLOTS, row))
         rows.append(head_port)
 
-        tris: list[int] = []
         for i in range(len(band_areas)):
             low_kind, low_val = rows[i]
             high_kind, high_val = rows[i + 1]
@@ -261,21 +244,13 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
             if low_kind == _CAP and high_kind == _CAP:
                 raise InvalidGraph(f"edge {e.id}: degenerate cap-to-cap band")
             if low_kind == _CAP:
-                tris += _cap_band(b, low_val, list(high_val), cyclic, area, apex_on_top=False)
+                _cap_band(b, low_val, list(high_val), cyclic, area, apex_on_top=False)
             elif high_kind == _CAP:
-                tris += _cap_band(b, high_val, list(low_val), cyclic, area, apex_on_top=True)
+                _cap_band(b, high_val, list(low_val), cyclic, area, apex_on_top=True)
             else:
-                tris += _band(b, list(low_val), list(high_val), cyclic, area)
-        witness_edges[e.id] = tris
+                _band(b, list(low_val), list(high_val), cyclic, area)
 
-    surface = b.finish()
-    return RealizationResult(
-        surface,
-        {
-            "vertices": {vid: [surface.id_of(i) for i in idxs] for vid, idxs in witness_vertices.items()},
-            "edges": witness_edges,
-        },
-    )
+    return RealizationResult(b.finish())
 
 
 def surface_of(g: MeasuredReebGraph, resolution: int = 8) -> TopologySummary:

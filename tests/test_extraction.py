@@ -188,7 +188,7 @@ def test_witness_masses_are_the_last_profile_samples():
     # re-attaching a loaded graph integrates each edge on a one-interval grid;
     # its mass must be the very float a K-sample profile ends in
     for s in _witness_meshes():
-        _, edge_specs, _, ctx = extraction._witness(s)
+        _, edge_specs, ctx = extraction._witness(s)
         masses = [profile.mass for profile in extraction._profiles(ctx, 1)]
         assert len(masses) == len(edge_specs)
         for samples in (2, 12, 64):
@@ -234,9 +234,21 @@ def test_cyclic_order_annulus(annulus):
     g = extract_reeb(annulus, samples=8)
     for v in g.vertices:
         if len(g.dashed_edges_at(v.id)) >= 3:
-            recorded = g.cyclic_orders[v.id]
-            for eps in (None, 0.05, 0.3):
-                assert cyclic_order(annulus, g, v.id, eps) == recorded
+            assert cyclic_order(annulus, g, v.id) == g.cyclic_orders[v.id]
+
+
+def test_cyclic_order_of_a_reloaded_graph(annulus):
+    # a detached graph is re-attached, and its orders come from that witness
+    from reeb_orbit.fixtures import fig4a_graph, fig4b_graph
+    from reeb_orbit.serialize import graph_from_dict, graph_to_dict
+
+    surfaces = [annulus] + [realize(build(), resolution=4).surface for build in (fig4a_graph, fig4b_graph)]
+    for s in surfaces:
+        g = extract_reeb(s, samples=8)
+        loaded = graph_from_dict(graph_to_dict(g))
+        assert loaded.context is None and g.cyclic_orders
+        for v, recorded in g.cyclic_orders.items():
+            assert cyclic_order(s, loaded, v) == recorded
 
 
 def test_cyclic_order_rejects_low_valence(annulus):
@@ -464,14 +476,37 @@ def test_level_kernels_match_reference_loops(name):
     crit, bands = ctx.critical_values, ctx.band_values
     # the band slabs and the slabs around each critical level, one call each
     for cuts in (crit, [-math.inf, *bands, math.inf]):
-        slabs = slab_triangle_components(s, cuts)
-        assert len(slabs) == len(cuts) - 1
-        for j, got in enumerate(slabs):
+        labels = slab_triangle_components(s, cuts)
+        total = 0
+        for j in range(len(cuts) - 1):
+            nodes = np.arange(len(labels.keys))[labels.slab(j)]
+            got = zip(labels.triangles(nodes).tolist(), labels.triangles(labels.roots[nodes]).tolist())
             want = reference_slab_components(s, cuts[j], cuts[j + 1])
-            assert list(got.items()) == list(want.items())
+            assert list(got) == list(want.items())
+            total += len(want)
+        assert total == len(labels.keys)
     for t in bands:
         chords = {c.tri: c for comp in trace_level(s, t) for c in comp.chords}
         assert dict(sorted(chords.items())) == reference_chords(s, t)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_edge_regions_partition_the_band_slabs(name):
+    # in each band, the edges' regions are the reference slab components,
+    # one region per component, each in ascending triangle order
+    s = _kernel_case(name)
+    ctx = extraction._witness(s)[2]
+    crit = ctx.critical_values
+    regions = [[] for _ in ctx.band_values]
+    for eid in ctx.edge_members:
+        for band, tris in ctx.edge_triangles(eid):
+            assert np.all(np.diff(tris) > 0)
+            regions[band].append(tris.tolist())
+    for j, got in enumerate(regions):
+        want = {}
+        for tri, root in reference_slab_components(s, crit[j], crit[j + 1]).items():
+            want.setdefault(root, []).append(tri)
+        assert sorted(got) == sorted(want.values())
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -481,7 +516,7 @@ def test_batched_profiles_match_reference_regions(name, monkeypatch):
     # exceed it and are split between blocks, and at a cap below one row,
     # where every row is a block of its own
     s = _kernel_case(name)
-    ctx = extraction._witness(s)[3]
+    ctx = extraction._witness(s)[2]
     crit = ctx.critical_values
     for cap in (extraction._AREA_BLOCK_CELLS, 5):
         monkeypatch.setattr(extraction, "_AREA_BLOCK_CELLS", cap)

@@ -81,13 +81,6 @@ def test_area_fidelity(fig2):
         assert g2.edge(iso.edge_map[e.id]).mass == pytest.approx(e.mass, rel=1e-9)
 
 
-def test_witness_covers_everything(fig2):
-    res = realize(fig2, resolution=8)
-    tri_total = sum(len(v) for v in res.witness["edges"].values())
-    assert tri_total == len(res.surface.triangles)
-    assert set(res.witness["vertices"]) == {v.id for v in fig2.vertices}
-
-
 def test_sigma_matches_boundary_count_on_fuzz():
     for seed in range(12):
         g = random_measured_graph(seed)
