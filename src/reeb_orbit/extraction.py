@@ -154,55 +154,46 @@ def _profiles(ctx: ExtractionContext, samples: int) -> list[MeasureProfile]:
 
     The (edge, band) regions are stacked, each with the edge's grid clipped
     to the band as its levels, and the clipped fractions of all (level,
-    triangle) cells are evaluated in blocks of at most _AREA_BLOCK_CELLS
-    cells, a block boundary falling between two levels of a region when it
-    must.  Each level's area is one ``np.dot`` over the region's own
-    triangles, so every float is the one a region-by-region evaluation gives.
+    triangle) cells are evaluated in blocks of whole rows, at most
+    _AREA_BLOCK_CELLS cells unless one row is larger.  Each level's area is
+    one ``np.add.reduceat`` segment of its cells' area-times-fraction
+    products, and each edge sums its regions' rows with one more, so every
+    float depends only on the values summed: not on the block, the width or
+    the BLAS kernel.
     """
     s, crit = ctx.surface, ctx.critical_values
     width = samples + 1
-    edges, tris, levels = [], [], []  # edges: (f_lo, f_hi, end of its regions)
+    edges, tris, levels = [], [], []  # edges: (f_lo, f_hi, its first region)
     for eid, members in ctx.edge_members.items():
         lo, hi = crit[members[0][0]], crit[members[-1][0] + 1]
         grid = np.linspace(lo, hi, width)
+        edges.append((lo, hi, len(tris)))
         for j, region in ctx.edge_triangles(eid):
             tris.append(region)
             levels.append(np.clip(grid, crit[j], crit[j + 1]))
-        edges.append((lo, hi, len(tris)))
-    sizes = [len(region) for region in tris]
-    vals = level_tables(s).sorted_f[:, np.concatenate(tris)]
-    areas = [s.areas[region] for region in tris]
-    # row r * width + i is level i of region r, over the region's cells
-    row_size = np.repeat(sizes, width)
-    row_start = np.repeat(np.cumsum(sizes) - sizes, width)
+    sizes = np.array([len(region) for region in tris])
+    stacked, sorted_f = np.concatenate(tris), level_tables(s).sorted_f
+    region_start = np.cumsum(sizes) - sizes
+    # row r * width + i is level i of region r, over the region's triangles;
+    # bounds[row]:bounds[row + 1] are its cells in the stack of all rows
+    bounds = np.concatenate(([0], np.cumsum(np.repeat(sizes, width))))
     row_level = np.concatenate(levels)
     below = np.empty(len(row_level))
-
-    def integrate(first: int, stop: int) -> None:
-        n = row_size[first:stop]
-        ends = np.cumsum(n)
-        cells = np.repeat(row_start[first:stop] - (ends - n), n) + np.arange(ends[-1])
-        frac = _frac_below(vals, cells, np.repeat(row_level[first:stop], n))
-        for row, end in zip(range(first, stop), ends.tolist()):
-            r = row // width
-            below[row] = np.dot(areas[r], frac[end - sizes[r] : end])
-
-    first = cells = 0
-    for row, size in enumerate(row_size.tolist()):
-        if cells and cells + size > _AREA_BLOCK_CELLS:
-            integrate(first, row)
-            first, cells = row, 0
-        cells += size
-    integrate(first, len(below))
-
-    profiles, start = [], 0
-    for lo, hi, end in edges:
-        cum = np.zeros(width)
-        for region in below.reshape(-1, width)[start:end]:
-            cum += region - region[0]
-        profiles.append(MeasureProfile(lo, hi, cum))
-        start = end
-    return profiles
+    first = 0
+    while first < len(below):
+        base = bounds[first]
+        stop = max(first + 1, int(np.searchsorted(bounds, base + _AREA_BLOCK_CELLS, "right")) - 1)
+        offsets, n = bounds[first:stop] - base, np.diff(bounds[first : stop + 1])
+        origin = region_start[np.arange(first, stop) // width] - offsets
+        cells = stacked[np.repeat(origin, n) + np.arange(bounds[stop] - base)]
+        frac = _frac_below(sorted_f, cells, np.repeat(row_level[first:stop], n))
+        below[first:stop] = np.add.reduceat(s.areas[cells] * frac, offsets)
+        del frac  # its block is freed before the next one is evaluated
+        first = stop
+    rows = below.reshape(-1, width)
+    rows -= rows[:, :1]
+    cums = np.add.reduceat(rows, [start for _, _, start in edges], axis=0)
+    return [MeasureProfile(lo, hi, cum) for (lo, hi, _), cum in zip(edges, cums)]
 
 
 # -- main extraction --------------------------------------------------------------

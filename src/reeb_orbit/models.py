@@ -33,22 +33,26 @@ def _surface(
     return PLSurface(ids, np.array(fvals), np.array(tris, dtype=int), np.array(areas), np.array(points))
 
 
-def _split_quads(quads: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int]]:
-    """Split quads (a, b, c, d) counterclockwise into two triangles each."""
+def _grid_triangles(rows: int, cols: int, closed: bool) -> list[tuple[int, int, int]]:
+    """Triangles of a grid of rows + 1 point rows: each quad (a, b, c, d) is
+    split counterclockwise into (a, b, c) and (a, c, d).  A closed row has
+    cols points around a circle, an open one cols + 1 points along a line."""
+    width = cols if closed else cols + 1
     tris: list[tuple[int, int, int]] = []
-    for a, b, c, d in quads:
-        tris.append((a, b, c))
-        tris.append((a, c, d))
+    for j in range(rows):
+        lo, hi = j * width, (j + 1) * width
+        for i in range(cols):
+            nxt = (i + 1) % width
+            a, b, c, d = lo + i, lo + nxt, hi + nxt, hi + i
+            tris += [(a, b, c), (a, c, d)]
     return tris
 
 
 def _from_grid(
-    points: list[tuple[float, float]],
-    fvals: list[float],
-    quads: list[tuple[int, int, int, int]],
+    points: list[tuple[float, float]], fvals: list[float], rows: int, cols: int, closed: bool = False
 ) -> PLSurface:
-    """The quads, split into triangles, with Euclidean areas."""
-    tris = _split_quads(quads)
+    """The grid's triangles with Euclidean areas."""
+    tris = _grid_triangles(rows, cols, closed)
     return _surface(points, fvals, tris, [_euclid_area(points, *t) for t in tris])
 
 
@@ -87,7 +91,6 @@ def annulus_mesh(rings: int = 6, sectors: int = 40, r_in: float = 1.0, r_out: fl
     """Annulus with f = x; four boundary critical points, sigma = 2."""
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
-    quads = []
     offset = 0.21
     for i in range(rings + 1):
         r = r_in + (r_out - r_in) * i / rings
@@ -95,11 +98,7 @@ def annulus_mesh(rings: int = 6, sectors: int = 40, r_in: float = 1.0, r_out: fl
             th = offset + 2.0 * math.pi * k / sectors
             points.append((r * math.cos(th), r * math.sin(th)))
             fvals.append(r * math.cos(th))
-    for i in range(rings):
-        lo, hi = i * sectors, (i + 1) * sectors
-        for k in range(sectors):
-            quads.append((lo + k, lo + (k + 1) % sectors, hi + (k + 1) % sectors, hi + k))
-    return _from_grid(points, fvals, quads)
+    return _from_grid(points, fvals, rings, sectors, closed=True)
 
 
 def sphere_mesh(bands: int = 24, sectors: int = 24) -> PLSurface:
@@ -174,19 +173,14 @@ def tilted_cylinder_mesh(sectors: int = 48, levels: int = 30, amp: float = 0.25)
     height = 2.0
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
-    quads = []
     for j in range(levels + 1):
         v = height * j / levels
         for k in range(sectors):
             u = (k + 0.3 * j / levels) / sectors
             points.append((u, v))
             fvals.append(v + amp * math.sin(2.0 * math.pi * u))
-    for j in range(levels):
-        lo, hi = j * sectors, (j + 1) * sectors
-        for k in range(sectors):
-            quads.append((lo + k, lo + (k + 1) % sectors, hi + (k + 1) % sectors, hi + k))
     # flat metric: areas of the parameter cells, independent of the rolled-up xy
-    tris = _split_quads(quads)
+    tris = _grid_triangles(levels, sectors, closed=True)
     cell = (1.0 / sectors) * (height / levels)
     return _surface(points, fvals, tris, [cell / 2.0] * len(tris))
 
@@ -200,18 +194,13 @@ def parabolic_strip_mesh(nx: int = 48, ny: int = 36, width: float = 1.0, height:
     eps = 1e-4
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
-    quads = []
     for j in range(ny + 1):
         q = height * (j / ny) ** 2
         for i in range(nx + 1):
             p = -width + 2.0 * width * i / nx
             points.append((p, q))
             fvals.append(q + p * p + eps * p)
-    for j in range(ny):
-        lo, hi = j * (nx + 1), (j + 1) * (nx + 1)
-        for i in range(nx):
-            quads.append((lo + i, lo + i + 1, hi + i + 1, hi + i))
-    return _from_grid(points, fvals, quads)
+    return _from_grid(points, fvals, ny, nx)
 
 
 def pq_square_mesh(n: int = 48) -> PLSurface:
@@ -220,18 +209,13 @@ def pq_square_mesh(n: int = 48) -> PLSurface:
     eps = 7e-4
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
-    quads = []
     for j in range(n + 1):
         q = -1.0 + 2.0 * j / n
         for i in range(n + 1):
             p = -1.0 + 2.0 * i / n
             points.append((p, q))
             fvals.append(p * q + eps * (p + 2.0 * q))
-    for j in range(n):
-        lo, hi = j * (n + 1), (j + 1) * (n + 1)
-        for i in range(n):
-            quads.append((lo + i, lo + i + 1, hi + i + 1, hi + i))
-    return _from_grid(points, fvals, quads)
+    return _from_grid(points, fvals, n, n)
 
 
 def torus_with_hole_mesh(
@@ -337,14 +321,9 @@ def square_mesh(n: int = 2) -> PLSurface:
     """Unit square from two right triangles per cell, f = x + 0.25 y."""
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
-    quads = []
     for j in range(n + 1):
         for i in range(n + 1):
             x, y = i / n, j / n
             points.append((x, y))
             fvals.append(x + 0.25 * y)
-    for j in range(n):
-        lo, hi = j * (n + 1), (j + 1) * (n + 1)
-        for i in range(n):
-            quads.append((lo + i, lo + i + 1, hi + i + 1, hi + i))
-    return _from_grid(points, fvals, quads)
+    return _from_grid(points, fvals, n, n)

@@ -58,7 +58,7 @@ def graph_to_dict(g: MeasuredReebGraph) -> dict[str, Any]:
                 "head": e.head,
                 "style": e.style,
                 "mass": e.mass,
-                "cumulative": [float(c) for c in e.profile.cumulative],
+                "cumulative": e.profile.cumulative.tolist(),
             }
             for e in g.edges
         ],

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from reeb_orbit.levels import (
     trace_level,
 )
 from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
+from reeb_orbit.serialize import dumps
 from reeb_orbit.surface import edge_key, remap
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
@@ -440,7 +445,7 @@ def reference_area_below(vals, areas, t):
     frac = np.where(lo_band, frac_lo, frac)
     frac = np.where((t > f2) & (t < f3), frac_hi, frac)
     frac = np.where(t >= f3, 1.0, frac)
-    return float(np.dot(areas, frac))
+    return float(np.add.reduceat(areas * frac, [0])[0])
 
 
 def reference_region_cum(s, tris, clip_lo, clip_hi, grid):
@@ -512,9 +517,9 @@ def test_edge_regions_partition_the_band_slabs(name):
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_batched_profiles_match_reference_regions(name, monkeypatch):
     # each edge's profile is the sum of its regions' reference rows, float
-    # for float: at the block cap, where a refined mesh's K = 64 regions
-    # exceed it and are split between blocks, and at a cap below one row,
-    # where every row is a block of its own
+    # for float, both sums taken by one reduceat segment: at the block cap,
+    # where a refined mesh's K = 64 regions exceed it and are split between
+    # blocks, and at a cap below one row, where every row is a block of its own
     s = _kernel_case(name)
     ctx = extraction._witness(s)[2]
     crit = ctx.critical_values
@@ -524,11 +529,11 @@ def test_batched_profiles_match_reference_regions(name, monkeypatch):
             want, largest = [], 0
             for eid, members in ctx.edge_members.items():
                 grid = np.linspace(crit[members[0][0]], crit[members[-1][0] + 1], samples + 1)
-                cum = np.zeros(samples + 1)
+                rows = []
                 for band, tris in ctx.edge_triangles(eid):
-                    cum += reference_region_cum(s, tris, crit[band], crit[band + 1], grid)
+                    rows.append(reference_region_cum(s, tris, crit[band], crit[band + 1], grid))
                     largest = max(largest, (samples + 1) * len(tris))
-                want.append(cum.tolist())
+                want.append(np.add.reduceat(np.array(rows), [0], axis=0)[0].tolist())
             assert [p.cumulative.tolist() for p in extraction._profiles(ctx, samples)] == want
             if name.endswith("-refined") and samples == 64:
                 assert largest > cap
@@ -567,3 +572,67 @@ def test_extraction_traces_each_band_once(monkeypatch):
     m = len(g.vertices)
     assert g.cyclic_orders
     assert calls == {"trace_level": m - 1, "slab_triangle_components": 2}
+
+
+# Runs `reeb-orbit extract` through cli.main, then reports on its last stderr
+# line the OpenBLAS core that was loaded (None when numpy bundles no
+# scipy-openblas) and the CPU features numpy dispatches on.
+_EXTRACT_CHILD = """
+import ctypes, glob, json, os, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from reeb_orbit.cli import main
+
+for mesh in sys.argv[1:]:
+    for samples in ("12", "64"):
+        if main(["extract", mesh, "--samples", samples]) != 0:
+            sys.exit(1)
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+core = None
+for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+    corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    core = corename().decode()
+features = sorted(name for name, on in __cpu_features__.items() if on)
+sys.stderr.write("\\n" + json.dumps({"core": core, "features": features}) + "\\n")
+"""
+
+KERNEL_SETTINGS = [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+]
+
+
+def _extract_in_child(meshes, setting):
+    src = str(Path(extraction.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update(setting, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _EXTRACT_CHILD, *map(str, meshes)],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout, json.loads(done.stderr.decode().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def default_extracts(tmp_path_factory):
+    fuzz = tmp_path_factory.mktemp("kernels") / "fuzz20000.json"
+    fuzz.write_text(dumps(realize(random_measured_graph(20000), resolution=6).surface.to_dict()))
+    meshes = [DATA / "disk_linear.json", fuzz]
+    return meshes, *_extract_in_child(meshes, {})
+
+
+@pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=lambda setting: " ".join(setting.values()))
+def test_extract_bytes_do_not_depend_on_the_kernels(default_extracts, setting):
+    # profile sums take their order from the code, so neither the OpenBLAS
+    # kernel nor numpy's SIMD dispatch may change a byte of `extract`; a
+    # setting the child's libraries ignored proves nothing and skips
+    meshes, want, default = default_extracts
+    got, loaded = _extract_in_child(meshes, setting)
+    if loaded == default:
+        pytest.skip(f"{setting} changed neither the OpenBLAS core nor the CPU features: {default}")
+    assert got == want
