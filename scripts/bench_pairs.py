@@ -15,8 +15,10 @@ standard output is its result JSON; a run whose checks failed
 (``"correct": false``) stops the script, naming the checkout, the workload
 and the pair.  The output file holds every pair's end-to-end metrics, the
 per-side medians and quartiles, the number of pairs in which the change did
-better, each side's total of attempted and failed jobs, and the machine
-(CPUs, Python, numpy, scipy).  It is written to CHANGE.
+better, whether the medians differ by more than the parent's quartile
+spread, whether the change's median is worse than the metric's bound, each
+side's total of attempted and failed jobs, and the machine (CPUs, Python,
+numpy, scipy).  It is written to CHANGE.
 
 The runs write no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the script
 refuses to start while either checkout holds a ``__pycache__`` under ``src/``
@@ -78,7 +80,11 @@ def machine() -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per-side medians and quartiles and, per metric, how many pairs the
-    change won (ties count for neither side)."""
+    change won (ties count for neither side), whether the medians differ by
+    more than the distance between the parent's quartiles, and whether the
+    change's median is worse than the parent's by more than the metric's
+    ``bound``, a fraction of the parent's median (null when the metric
+    declares no bound)."""
     out = {}
     for m in metrics:
         name = m["name"]
@@ -86,16 +92,23 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         higher = m["better"] == "higher"
         wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
         medians = {side: statistics.median(v) for side, v in values.items()}
+        quartiles = {
+            side: statistics.quantiles(v, n=4, method="inclusive")[::2] for side, v in values.items()
+        }
+        ratio = medians["change"] / medians["parent"]
+        spread = quartiles["parent"][1] - quartiles["parent"][0]
+        worse = None
+        if m.get("bound") is not None:
+            worse = ratio < 1.0 - m["bound"] if higher else ratio > 1.0 + m["bound"]
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "median": medians,
-            "quartiles": {
-                side: statistics.quantiles(v, n=4, method="inclusive")[::2]
-                for side, v in values.items()
-            },
-            "change_over_parent": medians["change"] / medians["parent"],
+            "quartiles": quartiles,
+            "change_over_parent": ratio,
             "pairs_change_better": wins,
+            "medians_differ_beyond_parent_spread": abs(medians["change"] - medians["parent"]) > spread,
+            "worse_beyond_bound": worse,
         }
     return out
 

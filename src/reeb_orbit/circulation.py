@@ -282,7 +282,7 @@ def circulation_from_form(
         raise InvalidGraph(f"edge {eid} is dashed; circulation needs a circle level")
     if not (e.profile.f_lo < value < e.profile.f_hi):
         raise ValueError(f"level {value!r} is not interior to edge {eid}")
-    if any(fv == value for fv in s.f):
+    if np.any(s.f == value):
         raise LevelOnVertex(f"level {value!r} hits a mesh vertex; perturb the query")
     ctx = ensure_context(s, g)
     for comp in trace_level(s, value):

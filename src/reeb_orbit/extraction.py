@@ -24,9 +24,9 @@ from .levels import (
     SlabLabels,
     crossing_param,
     level_tables,
-    pick_regular_value,
+    regular_values,
     slab_triangle_components,
-    trace_level,
+    trace_levels,
 )
 from .reebgraph import (
     AS_IN_TABLE,
@@ -107,14 +107,19 @@ class ExtractionContext:
         j, ci = self.edge_members[eid][0]
         return self.band_values[j], self.band_components[j][ci]
 
+    def regions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(edge, band, bounds, tris) of the regions in (edge, band) order, from one stable
+        sort of the band nodes by edge: region r is ``tris[bounds[r]:bounds[r + 1]]``."""
+        labels, bands = self.band_labels, len(self.band_values)
+        order = np.argsort(self.node_edge, kind="stable")
+        codes = self.node_edge[order] * bands + labels.keys[order] // labels.n_tris
+        at = np.flatnonzero(np.diff(codes, prepend=-1))  # the first node of each region
+        return *np.divmod(codes[at], bands), np.append(at, len(order)), labels.triangles(order)
+
     def edge_triangles(self, eid: int) -> list[tuple[int, np.ndarray]]:
         """(band, the edge's triangles in that band's slab, ascending), in band order."""
-        out = []
-        for j, _ in self.edge_members[eid]:
-            band = self.band_labels.slab(j)
-            region = band.start + np.flatnonzero(self.node_edge[band] == eid)
-            out.append((j, self.band_labels.triangles(region)))
-        return out
+        edge, band, at, tris = self.regions()
+        return [(int(band[r]), tris[at[r] : at[r + 1]]) for r in np.flatnonzero(edge == eid)]
 
 
 # -- vectorized clipped areas ----------------------------------------------------
@@ -152,48 +157,40 @@ def _profiles(ctx: ExtractionContext, samples: int) -> list[MeasureProfile]:
     """Profile step: each edge's cumulative area on ``samples`` + 1 uniform
     values from its tail's field value to its head's, in edge id order.
 
-    The (edge, band) regions are stacked, each with the edge's grid clipped
-    to the band as its levels, and the clipped fractions of all (level,
-    triangle) cells are evaluated in blocks of whole rows, at most
-    _AREA_BLOCK_CELLS cells unless one row is larger.  Each level's area is
-    one ``np.add.reduceat`` segment of its cells' area-times-fraction
-    products, and each edge sums its regions' rows with one more, so every
-    float depends only on the values summed: not on the block, the width or
-    the BLAS kernel.
+    The regions are stacked with the edge's grid clipped to their band as
+    levels, and the clipped fractions of all (level, triangle) cells are
+    evaluated in blocks of whole rows, at most _AREA_BLOCK_CELLS cells unless
+    one row is larger.  Each level's area and each edge's sum of rows is one
+    ``np.add.reduceat`` segment, whose float depends only on the values summed.
     """
-    s, crit = ctx.surface, ctx.critical_values
+    s, crit = ctx.surface, np.asarray(ctx.critical_values)
     width = samples + 1
-    edges, tris, levels = [], [], []  # edges: (f_lo, f_hi, its first region)
-    for eid, members in ctx.edge_members.items():
-        lo, hi = crit[members[0][0]], crit[members[-1][0] + 1]
-        grid = np.linspace(lo, hi, width)
-        edges.append((lo, hi, len(tris)))
-        for j, region in ctx.edge_triangles(eid):
-            tris.append(region)
-            levels.append(np.clip(grid, crit[j], crit[j + 1]))
-    sizes = np.array([len(region) for region in tris])
-    stacked, sorted_f = np.concatenate(tris), level_tables(s).sorted_f
-    region_start = np.cumsum(sizes) - sizes
+    region_edge, region_band, region_bounds, stacked = ctx.regions()
+    first_region = np.searchsorted(region_edge, np.arange(1, len(ctx.edge_members) + 1))
+    last_band = np.maximum.reduceat(region_band, first_region)
+    f_lo, f_hi = crit[region_band[first_region]], crit[last_band + 1]
+    grids = np.linspace(f_lo, f_hi, width, axis=1)
+    band_lo, band_hi = crit[region_band, None], crit[region_band + 1, None]
+    row_level = np.clip(grids[region_edge - 1], band_lo, band_hi).ravel()
     # row r * width + i is level i of region r, over the region's triangles;
     # bounds[row]:bounds[row + 1] are its cells in the stack of all rows
-    bounds = np.concatenate(([0], np.cumsum(np.repeat(sizes, width))))
-    row_level = np.concatenate(levels)
+    bounds = np.concatenate(([0], np.cumsum(np.repeat(np.diff(region_bounds), width))))
     below = np.empty(len(row_level))
     first = 0
     while first < len(below):
         base = bounds[first]
         stop = max(first + 1, int(np.searchsorted(bounds, base + _AREA_BLOCK_CELLS, "right")) - 1)
         offsets, n = bounds[first:stop] - base, np.diff(bounds[first : stop + 1])
-        origin = region_start[np.arange(first, stop) // width] - offsets
+        origin = region_bounds[np.arange(first, stop) // width] - offsets
         cells = stacked[np.repeat(origin, n) + np.arange(bounds[stop] - base)]
-        frac = _frac_below(sorted_f, cells, np.repeat(row_level[first:stop], n))
+        frac = _frac_below(level_tables(s).sorted_f, cells, np.repeat(row_level[first:stop], n))
         below[first:stop] = np.add.reduceat(s.areas[cells] * frac, offsets)
         del frac  # its block is freed before the next one is evaluated
         first = stop
     rows = below.reshape(-1, width)
     rows -= rows[:, :1]
-    cums = np.add.reduceat(rows, [start for _, _, start in edges], axis=0)
-    return [MeasureProfile(lo, hi, cum) for (lo, hi, _), cum in zip(edges, cums)]
+    cums = np.add.reduceat(rows, first_region, axis=0)
+    return [MeasureProfile(lo, hi, cum) for lo, hi, cum in zip(f_lo.tolist(), f_hi.tolist(), cums)]
 
 
 # -- main extraction --------------------------------------------------------------
@@ -204,15 +201,15 @@ def extract_reeb(s: PLSurface, samples: int = 64) -> MeasuredReebGraph:
     if samples < 2:
         raise DataError(f"need at least 2 samples per edge, got {samples}")
     vertices, edge_specs, ctx = _witness(s)
-    graph_edges: list[ReebEdge] = []
-    for eid, (tail, head, style), profile in zip(
-        ctx.edge_members, edge_specs, _profiles(ctx, samples)
-    ):
-        if np.any(np.diff(profile.cumulative) <= 0.0):
-            raise UnclassifiableTransition(
-                f"edge {eid}: measure profile is not strictly increasing"
-            )
-        graph_edges.append(ReebEdge(eid, tail, head, style, profile))
+    profiles = _profiles(ctx, samples)
+    flat = np.any(np.diff([p.cumulative for p in profiles], axis=1) <= 0.0, axis=1)
+    if flat.any():
+        raise UnclassifiableTransition(
+            f"edge {flat.argmax() + 1}: measure profile is not strictly increasing"
+        )
+    graph_edges = [
+        ReebEdge(eid, *spec, p) for eid, spec, p in zip(ctx.edge_members, edge_specs, profiles)
+    ]
     graph = MeasuredReebGraph(vertices, graph_edges, ctx.cyclic_orders, context=ctx)
     graph.validate()
     return graph
@@ -236,11 +233,8 @@ def _witness(s: PLSurface) -> tuple[
     crit_idx = [s.index_of(c.vertex_id) for c in criticals]
     crit_vals = [c.f_value for c in criticals]
 
-    values = level_tables(s).values
-    band_values = [
-        pick_regular_value(crit_vals[j], crit_vals[j + 1], values) for j in range(m - 1)
-    ]
-    band_components = [trace_level(s, t) for t in band_values]
+    band_values = regular_values(crit_vals, level_tables(s).values).tolist()
+    band_components = trace_levels(s, band_values)
     band_labels = slab_triangle_components(s, crit_vals)
     # the slab around critical level j lies between the band levels beside it
     event_labels = slab_triangle_components(s, [-math.inf, *band_values, math.inf])
@@ -299,8 +293,7 @@ def _witness(s: PLSurface) -> tuple[
     for j, comps in enumerate(band_components):
         for ci in range(len(comps)):
             classes.setdefault(dsu.find((j, ci)), []).append((j, ci))
-    for members in classes.values():
-        members.sort()
+    for members in classes.values():  # each in (band, component) order
         bands = [b for b, _ in members]
         if bands != list(range(bands[0], bands[-1] + 1)):
             raise UnclassifiableTransition("edge family skips a band")

@@ -40,16 +40,26 @@ class DSU:
             self.parent[rb] = ra
 
 
-def pick_regular_value(lo: float, hi: float, values: np.ndarray) -> float:
-    """Value in (lo, hi) maximizing distance to every value in ``values``,
-    which is sorted ascending."""
-    inside = values[np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")]
-    stops = np.concatenate(([lo], inside, [hi]))
+def regular_values(cuts, values) -> np.ndarray:
+    """For each interval (cuts[j], cuts[j + 1]), the midpoint of its first widest gap
+    between its ends and the ascending ``values`` inside it, by one maximum.reduceat."""
+    ends = list(cuts)
+    cuts, values = np.asarray(ends, dtype=float), np.asarray(values, dtype=float)
+    if not np.all(cuts[:-1] < cuts[1:]):
+        j = np.argmin(cuts[:-1] < cuts[1:])
+        raise TopologyError(f"empty interval ({ends[j]}, {ends[j + 1]})")
+    stops = np.unique(np.concatenate((values[(values > cuts[0]) & (values < cuts[-1])], cuts)))
+    at = np.searchsorted(stops, cuts)
     gaps = np.diff(stops)
-    best = int(np.argmax(gaps))
-    if not gaps[best] > 0.0:
-        raise TopologyError(f"empty interval ({lo}, {hi})")
-    return float(0.5 * (stops[best] + stops[best + 1]))
+    widest = np.maximum.reduceat(gaps, at[:-1])
+    best = np.flatnonzero(gaps == np.repeat(widest, np.diff(at)))
+    best = best[np.searchsorted(best, at[:-1])]
+    return 0.5 * (stops[best] + stops[best + 1])
+
+
+def pick_regular_value(lo: float, hi: float, values: np.ndarray) -> float:
+    """Value in (lo, hi) farthest from every value in ``values``, which ascends."""
+    return float(regular_values([lo, hi], values)[0])
 
 
 @dataclass(frozen=True)
@@ -138,63 +148,59 @@ def crossing_param(s: PLSurface, key: EdgeKey, t: float) -> float:
 
 def trace_level(s: PLSurface, t: float) -> list[LevelComponent]:
     """All components of the level set at the regular value t."""
-    if np.any(s.f == t):
-        raise LevelOnVertex(f"level {t!r} passes through a mesh vertex")
-    tables = level_tables(s)
-    crossed = np.flatnonzero((tables.fmin < t) & (tables.fmax > t))
-    corners = s.triangles[crossed]
-    above = s.f[corners] > t
-    # the lone corner is the one on its own side of the level; the chord
-    # crosses the two sides at it, entering through the side into it when
-    # that corner is above.  Side i of triangle t is half-edge 3t+i, from
-    # corner i to corner i+1.
+    return trace_levels(s, [t])[0]
+
+
+def trace_levels(s: PLSurface, ts) -> list[list[LevelComponent]]:
+    """The components at each of the strictly ascending regular values ``ts``, in
+    the order of their smallest triangles: a segment from its boundary entry, a
+    circle from the successor of its smallest triangle.  Only the walk is a loop."""
+    levels = list(ts)
+    t, tables = np.asarray(levels, dtype=float), level_tables(s)
+    at = tables.values.take(np.searchsorted(tables.values, t), mode="clip") == t
+    if at.any():
+        raise LevelOnVertex(f"level {levels[at.argmax()]!r} passes through a mesh vertex")
+    if not np.all(np.diff(t) > 0.0):
+        raise ValueError("levels must ascend strictly")
+    # the levels k with fmin < t[k] < fmax cross a triangle, by level, then triangle
+    n = len(s.triangles)
+    first, stop = np.searchsorted(t, tables.fmin, "right"), np.searchsorted(t, tables.fmax)
+    tri, level = _expand_runs(first, stop)
+    keys = np.sort(level * n + tri)
+    level, tri = np.divmod(keys, n)
+    corners = s.triangles[tri]
+    above = s.f[corners] > t[level, None]
+    # the lone corner is the one on its own side of the level; the chord crosses the
+    # two sides at it, entering through the side into it when that corner is above.
+    # Side i of triangle t is half-edge 3t+i, from corner i to corner i+1.
     lone_above = above.sum(axis=1) == 1
     lone = np.where(lone_above[:, None], above, ~above).argmax(axis=1)
-    into = (lone + 2) % 3
-    rows = np.arange(len(crossed))
-    tris = crossed.tolist()
-    keys, across = [], []
-    for side in (np.where(lone_above, into, lone), np.where(lone_above, lone, into)):
-        u, v = corners[rows, side], corners[rows, (side + 1) % 3]
-        keys.append(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
-        # the triangle across the side, -1 on the boundary
-        across.append(dict(zip(tris, s.twin[3 * crossed + side].tolist())))
-    chords = {tri: Chord(tri, entry, out) for tri, entry, out in zip(tris, *keys)}
-    behind, ahead = across
-
-    components: list[LevelComponent] = []
-    visited: set[int] = set()
-    for start in tris:
+    sides = np.where(lone_above, ((lone + 2) % 3, lone), (lone, (lone + 2) % 3))  # entry, exit
+    u, v = (np.take_along_axis(corners, (sides.T + d) % 3, axis=1).T for d in (0, 1))
+    lo, hi = np.minimum(u, v).tolist(), np.maximum(u, v).tolist()
+    chords = list(map(Chord, tri.tolist(), zip(lo[0], hi[0]), zip(lo[1], hi[1])))
+    # the crossing across the entry and the exit side, -1 on the boundary
+    across = s.twin[3 * tri + sides]
+    behind, ahead = np.where(across < 0, -1, np.searchsorted(keys, level * n + across)).tolist()
+    out, visited = [[] for _ in levels], set()
+    for start, k in enumerate(level.tolist()):
         if start in visited:
             continue
-        # walk backwards to a boundary entry (or detect a circle)
-        first = start
-        is_circle = False
-        while True:
-            prev = behind[first]
-            if prev < 0:
-                break
-            if prev == start:
-                is_circle = True
-                break
-            first = prev
-        seq = [first]
-        visited.add(first)
-        cur = first
-        while True:
-            nxt = ahead[cur]
-            if nxt < 0 or nxt == first:
-                break
+        head = start  # back to a boundary entry, or once round a circle
+        while behind[head] >= 0 and behind[head] != start:
+            head = behind[head]
+        seq, nxt = [head], ahead[head]
+        while nxt >= 0 and nxt != head:
             seq.append(nxt)
-            visited.add(nxt)
-            cur = nxt
-        components.append(LevelComponent(t, [chords[tri] for tri in seq], is_circle))
-    return components
+            nxt = ahead[nxt]
+        visited.update(seq)
+        out[k].append(LevelComponent(levels[k], [chords[i] for i in seq], behind[head] == start))
+    return out
 
 
 def _expand_runs(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(item, slab) of every slab in each item's run [first, stop), item by
-    item; an empty or inverted run adds nothing."""
+    """(item, position) of every position in each item's run [first, stop),
+    item by item; an empty or inverted run adds nothing."""
     counts = np.maximum(stop - first, 0)
     item = np.repeat(np.arange(len(first)), counts)
     return item, first[item] + np.arange(len(item)) - (np.cumsum(counts) - counts)[item]

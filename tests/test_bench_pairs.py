@@ -106,3 +106,37 @@ def test_summary_holds_each_sides_job_totals(tmp_path, monkeypatch):
     assert summary["attempted"] == {"parent": 30, "change": 36}
     assert summary["failed"] == {"parent": 0, "change": 3}
     assert summary["jobs_per_s"]["pairs_change_better"] == 0
+
+
+def test_summary_judges_the_parent_spread_and_the_bound():
+    bench_pairs = load_script()
+    metrics = [
+        {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+        {"name": "job_p50_s", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "job_tail_s", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "setup_s", "unit": "s", "better": "lower"},
+    ]
+    sides = {
+        # medians 50 and 39.5: 21% worse, far beyond the parent's quartiles 49-51
+        "jobs_per_s": ([48.0, 49.0, 50.0, 51.0, 52.0], [38.0, 39.0, 39.5, 40.0, 41.0]),
+        # medians 0.020 and 0.0202: 1% worse, inside the parent's quartiles 0.0195-0.0205
+        "job_p50_s": ([0.019, 0.0195, 0.020, 0.0205, 0.021], [0.0199, 0.0201, 0.0202, 0.0203, 0.0204]),
+        # half the parent's median: better by far more than the bound, not worse
+        "job_tail_s": ([0.04, 0.04, 0.04, 0.04, 0.04], [0.02, 0.02, 0.02, 0.02, 0.02]),
+        # no bound declared; the parent's runs do not spread at all
+        "setup_s": ([1.0] * 5, [1.1] * 5),
+    }
+    pairs = [
+        {side: {"metrics": {name: {"value": values[k][i]} for name, values in sides.items()}}
+         for k, side in enumerate(("parent", "change"))}
+        for i in range(5)
+    ]
+    summary = bench_pairs.summarize(pairs, metrics)
+    judged = {name: (s["medians_differ_beyond_parent_spread"], s["worse_beyond_bound"])
+              for name, s in summary.items()}
+    assert judged == {
+        "jobs_per_s": (True, True),
+        "job_p50_s": (False, False),
+        "job_tail_s": (True, False),
+        "setup_s": (True, None),
+    }

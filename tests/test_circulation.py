@@ -393,7 +393,7 @@ def test_synthesis_reads_probe_levels_from_the_context(monkeypatch):
         raise AssertionError("synthesis re-derived what the context holds")
 
     monkeypatch.setattr(circulation, "trace_level", forbidden)
-    monkeypatch.setattr(extraction, "trace_level", forbidden)
+    monkeypatch.setattr(extraction, "trace_levels", forbidden)
     monkeypatch.setattr(circulation, "augment", forbidden)
     synthesize_form(surf, g, *_zero_targets(g))
 

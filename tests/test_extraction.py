@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,9 @@ import pytest
 
 from reeb_orbit import (
     DataError,
+    LevelOnVertex,
     NotSimpleMorse,
+    TopologyError,
     UnclassifiableTransition,
     classify_level_transition,
     cyclic_order,
@@ -19,14 +22,18 @@ from reeb_orbit import (
     topology_summary,
     validate_simple_morse,
 )
-from reeb_orbit import extraction, realize
+from reeb_orbit import extraction, levels, realize
 from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.levels import (
     DSU,
     Chord,
+    LevelComponent,
+    level_tables,
     pick_regular_value,
+    regular_values,
     slab_triangle_components,
     trace_level,
+    trace_levels,
 )
 from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
 from reeb_orbit.serialize import dumps
@@ -495,6 +502,134 @@ def test_level_kernels_match_reference_loops(name):
         assert dict(sorted(chords.items())) == reference_chords(s, t)
 
 
+def reference_trace_level(s, t):
+    """One level's components by a walk through dicts keyed by triangle, one
+    level at a time: components in the order of their smallest triangle, a
+    segment from its boundary entry, a circle from the successor of its
+    smallest triangle."""
+    if np.any(s.f == t):
+        raise LevelOnVertex(f"level {t!r} passes through a mesh vertex")
+    tables = level_tables(s)
+    crossed = np.flatnonzero((tables.fmin < t) & (tables.fmax > t))
+    corners = s.triangles[crossed]
+    above = s.f[corners] > t
+    lone_above = above.sum(axis=1) == 1
+    lone = np.where(lone_above[:, None], above, ~above).argmax(axis=1)
+    into = (lone + 2) % 3
+    rows = np.arange(len(crossed))
+    tris = crossed.tolist()
+    keys, across = [], []
+    for side in (np.where(lone_above, into, lone), np.where(lone_above, lone, into)):
+        u, v = corners[rows, side], corners[rows, (side + 1) % 3]
+        keys.append(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+        across.append(dict(zip(tris, s.twin[3 * crossed + side].tolist())))
+    chords = {tri: Chord(tri, entry, out) for tri, entry, out in zip(tris, *keys)}
+    behind, ahead = across
+    components = []
+    visited = set()
+    for start in tris:
+        if start in visited:
+            continue
+        first = start
+        is_circle = False
+        while True:
+            prev = behind[first]
+            if prev < 0:
+                break
+            if prev == start:
+                is_circle = True
+                break
+            first = prev
+        seq = [first]
+        visited.add(first)
+        cur = first
+        while True:
+            nxt = ahead[cur]
+            if nxt < 0 or nxt == first:
+                break
+            seq.append(nxt)
+            visited.add(nxt)
+            cur = nxt
+        components.append(LevelComponent(t, [chords[tri] for tri in seq], is_circle))
+    return components
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES + ["annulus", "sphere", "cylinder"])
+def test_trace_levels_matches_the_per_level_walk(name, request):
+    # component for component and chord for chord, at the band values, at
+    # random regular values and at levels outside the field's range
+    s = request.getfixturevalue(name) if name in ("annulus", "sphere", "cylinder") else _kernel_case(name)
+    bands = extraction._witness(s)[2].band_values
+    lo, hi = float(s.f.min()), float(s.f.max())
+    randoms = np.sort(np.random.default_rng(17).uniform(lo, hi, 6)).tolist()
+    for ts in (bands, randoms, [lo - 1.0, *randoms[:2], hi + 1.0]):
+        got = trace_levels(s, ts)
+        assert got == [reference_trace_level(s, t) for t in ts]
+        assert got == [trace_level(s, t) for t in ts]
+    # test_level_kernels_match_reference_loops checks the band levels' chords
+    for t, comps in zip(randoms, trace_levels(s, randoms)):
+        chords = {c.tri: c for comp in comps for c in comp.chords}
+        assert comps and dict(sorted(chords.items())) == reference_chords(s, t)
+    assert trace_levels(s, []) == []
+
+
+def test_trace_levels_checks_its_levels(torus_with_hole):
+    s = torus_with_hole
+    ctx = extraction._witness(s)[2]
+    bands, crit = ctx.band_values, ctx.critical_values
+    # a vertex value first, between two bands and last; two of them name the first
+    for extra in ([crit[0]], [crit[2]], [crit[-1]], [crit[1], crit[-1]]):
+        with pytest.raises(LevelOnVertex, match=rf"^level {re.escape(repr(extra[0]))} passes"):
+            trace_levels(s, sorted(bands + extra))
+    for ts in (bands[::-1], [bands[0], bands[0]], [*bands, bands[-1]]):
+        with pytest.raises(ValueError, match="ascend strictly"):
+            trace_levels(s, ts)
+
+
+def reference_pick_regular_value(lo, hi, values):
+    """The midpoint of the first widest gap between lo, the values inside
+    (lo, hi) and hi, one interval at a time."""
+    values = np.asarray(values, dtype=float)
+    inside = values[np.searchsorted(values, lo, "right") : np.searchsorted(values, hi, "left")]
+    stops = np.concatenate(([lo], inside, [hi]))
+    gaps = np.diff(stops)
+    best = int(np.argmax(gaps))
+    if not gaps[best] > 0.0:
+        raise TopologyError(f"empty interval ({lo}, {hi})")
+    return float(0.5 * (stops[best] + stops[best + 1]))
+
+
+def test_regular_values_match_the_per_interval_formula():
+    rng = np.random.default_rng(5)
+    values = np.unique(rng.uniform(-1.0, 1.0, 60))
+    ties = np.arange(8.0)  # equal gaps: the first one wins
+    for vals, cuts in (
+        (ties, [0.0, 7.0]),
+        (ties, [-3.0, 0.5, 2.0, 3.0, 6.5, 20.0]),  # ends outside, on and between the values
+        (values, np.sort(rng.uniform(-1.5, 1.5, 20))),
+        (values, values),  # no value inside any interval
+        (values, [-2.0, values[3], values[40], 3.0]),
+        (values, [values[10], values[11] + 1e-300]),
+    ):
+        want = [reference_pick_regular_value(lo, hi, vals) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        assert regular_values(cuts, vals).tolist() == want
+        assert [pick_regular_value(lo, hi, vals) for lo, hi in zip(cuts[:-1], cuts[1:])] == want
+    assert regular_values([0.0, 7.0], ties.tolist()).tolist() == [0.5]
+
+
+def test_regular_values_reject_empty_intervals():
+    values = np.arange(5.0)
+    # empty or inverted, with and without values inside, anywhere in a batch
+    for lo, hi in ((2.0, 2.0), (3.0, 1.0), (2.5, 2.5), (9.0, -9.0), (-1.0, -1.0), (math.nan, 1.0)):
+        message = rf"^empty interval \({re.escape(str(lo))}, {re.escape(str(hi))}\)$"
+        with pytest.raises(TopologyError, match=message):
+            reference_pick_regular_value(lo, hi, values)
+        with pytest.raises(TopologyError, match=message):
+            pick_regular_value(lo, hi, values)
+        with pytest.raises(TopologyError, match=message):
+            regular_values([-5.0, -4.0, lo, hi, 20.0] if lo > -4.0 else [lo, hi, 20.0], values)
+
+
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_edge_regions_partition_the_band_slabs(name):
     # in each band, the edges' regions are the reference slab components,
@@ -555,23 +690,26 @@ def test_extraction_peak_memory_is_bounded():
 
 
 def test_extraction_traces_each_band_once(monkeypatch):
-    # one traced level per band and one slab pass per slab family (the band
-    # slabs and the slabs around the critical levels); the cyclic-order walk
-    # reuses the band levels and the event slabs
+    # one tracing pass over all band levels and one slab pass per slab family
+    # (the band slabs and the slabs around the critical levels); the
+    # cyclic-order walk reuses the band levels and the event slabs
     s = realize(random_measured_graph(20000), resolution=6).surface
-    calls = {"trace_level": 0, "slab_triangle_components": 0}
-    for name in calls:
-        original = getattr(extraction, name)
+    calls = {"trace_levels": 0, "trace_level": 0, "slab_triangle_components": 0}
+    for module, name in (
+        (extraction, "trace_levels"),
+        (levels, "trace_level"),
+        (extraction, "slab_triangle_components"),
+    ):
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(extraction, name, counting)
+        monkeypatch.setattr(module, name, counting)
     g = extract_reeb(s, samples=12)
-    m = len(g.vertices)
-    assert g.cyclic_orders
-    assert calls == {"trace_level": m - 1, "slab_triangle_components": 2}
+    assert len(g.vertices) > 2 and g.cyclic_orders
+    assert calls == {"trace_levels": 1, "trace_level": 0, "slab_triangle_components": 2}
 
 
 # Runs `reeb-orbit extract` through cli.main, then reports on its last stderr
