@@ -18,7 +18,8 @@ per-side medians and quartiles, the number of pairs in which the change did
 better, whether the medians differ by more than the parent's quartile
 spread, whether the change's median is worse than the metric's bound, each
 side's total of attempted and failed jobs, and the machine (CPUs, Python,
-numpy, scipy).  It is written to CHANGE.
+numpy, scipy, and orjson, which sets the speed of decoding).  It is written
+to CHANGE.
 
 The runs write no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the script
 refuses to start while either checkout holds a ``__pycache__`` under ``src/``
@@ -75,6 +76,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "scipy": version("scipy"),
+        "orjson": version("orjson"),
     }
 
 

@@ -604,6 +604,48 @@ def augment(s: PLSurface, a: DiscreteOneForm, g: MeasuredReebGraph) -> Augmented
 # -- synthesis -------------------------------------------------------------------------
 
 
+def kkt_system(
+    s: PLSurface, m: np.ndarray, con_rows: list[dict[int, float]], con_rhs: list[float]
+) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+    """The KKT matrix and right-hand side of the least-squares curl D x = m
+    under the exact constraint rows ``con_rows`` x = ``con_rhs``, where row t
+    of D holds the side signs of triangle t.
+
+    D^T D is summed from the 9 signed side products of each triangle (all
+    +-1, so the sums are exact in any order) and gets a tiny ridge on its
+    diagonal; one COO -> CSC construction places it beside the constraint
+    entries, which keep any explicit zero weight.  The arrays are those of
+    the sparse products and block stacks ``D.T @ D + ridge * I``, ``C``,
+    ``C.T`` once their indices are sorted, so the solve sees the same system.
+    """
+    ne, signs = len(s.edge_rows), _side_signs(s)
+    sides, tri_signs = s.edge_of.reshape(-1, 3), signs.reshape(-1, 3)
+    gram = scipy.sparse.csc_matrix(
+        (
+            (tri_signs[:, :, None] * tri_signs[:, None, :]).ravel(),
+            (np.repeat(sides, 3, axis=1).ravel(), np.tile(sides, 3).ravel()),
+        ),
+        shape=(ne, ne),
+    )
+    gram.eliminate_zeros()
+    gram = gram.tocoo()
+    ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))) if len(m) else 1.0)
+    gram.data[gram.row == gram.col] += ridge
+    nc = len(con_rows)
+    ci = np.repeat(np.arange(ne, ne + nc), [len(coeffs) for coeffs in con_rows])
+    cj = np.array([k for coeffs in con_rows for k in sorted(coeffs)], dtype=np.int64)
+    cx = np.array([coeffs[k] for coeffs in con_rows for k in sorted(coeffs)], dtype=float)
+    kkt = scipy.sparse.csc_matrix(
+        (
+            np.concatenate((gram.data, cx, cx)),
+            (np.concatenate((gram.row, ci, cj)), np.concatenate((gram.col, cj, ci))),
+        ),
+        shape=(ne + nc, ne + nc),
+    )
+    curl = np.bincount(s.edge_of, weights=signs * np.repeat(m, 3), minlength=ne)
+    return kkt, np.concatenate((curl, np.asarray(con_rhs, dtype=float)))
+
+
 def synthesize_form(
     s: PLSurface,
     g: MeasuredReebGraph,
@@ -636,16 +678,13 @@ def synthesize_form(
         if abs(tm) > 1e-9 * scale:
             raise InfeasibleTarget(f"closed graph with nonzero total moment {tm:g}")
 
-    ne, nt = len(s.edge_rows), len(s.triangles)
+    ne = len(s.edge_rows)
 
-    # curl rows; on closed surfaces spread the quadrature defect uniformly
+    # curl targets; on closed surfaces spread the quadrature defect uniformly
     tri_f = s.f[s.triangles]
     m = s.areas * ((tri_f[:, 0] + tri_f[:, 1] + tri_f[:, 2]) / 3.0)
     if not s.boundary_polygons:
         m = m - math.fsum(m.tolist()) * s.areas / s.total_area
-    D = scipy.sparse.csr_matrix(
-        (_side_signs(s), (np.repeat(np.arange(nt), 3), s.edge_of)), shape=(nt, ne)
-    )
 
     # hard constraint rows: one probe circulation per solid edge, one integral
     # per dashed basis cycle
@@ -664,28 +703,7 @@ def synthesize_form(
             con_rows.append(_lifted_cycle_coeffs(s, g, lifted, cycle))
             con_rhs.append(float(coord))
 
-    ci, cj, cx = [], [], []
-    for r, coeffs in enumerate(con_rows):
-        for k, w in sorted(coeffs.items()):
-            ci.append(r)
-            cj.append(k)
-            cx.append(w)
-    nc = len(con_rows)
-    C = scipy.sparse.csr_matrix((cx, (ci, cj)), shape=(nc, ne))
-    d = np.array(con_rhs)
-
-    # KKT system: least-squares curl with tiny ridge, constraints exact
-    ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))) if len(m) else 1.0)
-    top = scipy.sparse.hstack([D.T @ D + ridge * scipy.sparse.identity(ne), C.T])
-    bottom = scipy.sparse.hstack(
-        [C, scipy.sparse.csr_matrix((nc, nc))]
-    ) if nc else None
-    if nc:
-        kkt = scipy.sparse.vstack([top, bottom]).tocsc()
-        rhs_full = np.concatenate([D.T @ m, d])
-    else:
-        kkt = top.tocsc()
-        rhs_full = D.T @ m
+    kkt, rhs_full = kkt_system(s, m, con_rows, con_rhs)
     x_full = scipy.sparse.linalg.spsolve(kkt, rhs_full)
     form = DiscreteOneForm(s, x_full[:ne])
 

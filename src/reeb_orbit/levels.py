@@ -10,6 +10,7 @@ cyclic-order conventions downstream inherit this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,7 @@ def pick_regular_value(lo: float, hi: float, values: np.ndarray) -> float:
     return float(regular_values([lo, hi], values)[0])
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(NamedTuple):
     tri: int
     entry: EdgeKey
     exit: EdgeKey

@@ -19,6 +19,7 @@ from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
+import orjson
 
 from .errors import DataError, ParseError, TopologyError, UnsupportedMap
 
@@ -426,19 +427,50 @@ def topology_summary(s: PLSurface) -> TopologySummary:
 # -- test transformations -----------------------------------------------------
 
 
+# orjson 3.8 builds nested values by native recursion and overflows an 8 MB
+# stack (a segfault) between 10**5 and 2 * 10**5 levels, so a document that
+# could nest this deep goes to json, which nests about 1000 levels at most
+ORJSON_MAX_OPENERS = 2**15
+
+
+def _few_openers(source: str | bytes | bytearray) -> bool:
+    """Whether ``source`` holds fewer than ORJSON_MAX_OPENERS brackets and
+    braces, each level of nesting taking one."""
+    if len(source) < ORJSON_MAX_OPENERS:
+        return True
+    if isinstance(source, str):
+        return source.count("[") + source.count("{") < ORJSON_MAX_OPENERS
+    chars = np.frombuffer(source, dtype=np.uint8)
+    openers = np.count_nonzero(chars == ord("[")) + np.count_nonzero(chars == ord("{"))
+    return openers < ORJSON_MAX_OPENERS
+
+
 def decode_json(source: Any, noun: str) -> Any:
     """The decoded document of bytes, a JSON string or a file-like object;
     anything else is taken as an already decoded document and returned as it
     is.  Bytes are decoded as ``json.loads`` decodes them: UTF-8, with a
     byte-order mark or not, or UTF-16 or UTF-32.  ``noun`` names the format
-    in the ParseError message."""
+    in the ParseError message.
+
+    orjson decodes first, and what it refuses goes to ``json.loads``, which
+    decodes it (NaN and Infinity, a byte-order mark, UTF-16 or UTF-32, lone
+    surrogates, numbers beyond double range) or words the ParseError.  Text
+    with too many brackets and braces for orjson to nest safely goes to
+    ``json.loads`` directly.  The one difference: orjson reads an integer
+    outside [-2**63, 2**64) as a float, so an integer field refuses it
+    showing the float."""
     if hasattr(source, "read"):
         source = source.read()
     if not isinstance(source, (str, bytes, bytearray)):
         return source
+    if _few_openers(source):
+        try:
+            return orjson.loads(source)
+        except orjson.JSONDecodeError:
+            pass
     try:
         return json.loads(source)
-    except ValueError as exc:  # UnicodeDecodeError included
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError included
         raise ParseError(f"invalid {noun} JSON: {exc}") from exc
 
 

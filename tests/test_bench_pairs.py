@@ -1,5 +1,6 @@
 import importlib.util
 import json
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,17 @@ def test_a_run_with_failed_checks_stops_the_script(tmp_path, monkeypatch):
     assert str(tmp_path / "change") in message
     assert "graph-algebra" in message and "pair 2" in message
     assert not (tmp_path / "change" / "BENCH_0.json").exists()
+
+
+def test_machine_records_the_decoder_version(tmp_path, monkeypatch):
+    # orjson decodes every input file, so its version sets part of the speed
+    bench_pairs = load_script()
+    argv = _checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: _result(True))
+    assert bench_pairs.main(argv + ["--pr", "0", "--pairs", "2"]) == 0
+    machine = json.loads((tmp_path / "change" / "BENCH_0.json").read_text())["machine"]
+    assert machine["orjson"] == metadata.version("orjson")
+    assert {"nproc", "python", "numpy", "scipy"} <= set(machine)
 
 
 def test_summary_holds_each_sides_job_totals(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import reeb_orbit as ro
 from reeb_orbit import linalg
@@ -487,6 +488,62 @@ def test_synthesis_check_catches_a_missed_cycle_coordinate(monkeypatch, annulus)
     _wrong_solution(monkeypatch)
     with pytest.raises(ro.InfeasibleTarget, match="cycle coordinate targets not met"):
         synthesize_form(annulus, g, CirculationFunction({}), XiClass(dashed_cycle_basis(g), [1.0]))
+
+
+def reference_kkt(s, m, con_rows, con_rhs):
+    """The KKT system by sparse products and block stacks: D^T D + ridge I,
+    with D the triangle-by-edge side-sign matrix, beside the constraint rows."""
+    from reeb_orbit import circulation
+
+    ne, nt = len(s.edge_rows), len(s.triangles)
+    D = scipy.sparse.csr_matrix(
+        (circulation._side_signs(s), (np.repeat(np.arange(nt), 3), s.edge_of)), shape=(nt, ne)
+    )
+    ci, cj, cx = [], [], []
+    for r, coeffs in enumerate(con_rows):
+        for k, w in sorted(coeffs.items()):
+            ci.append(r)
+            cj.append(k)
+            cx.append(w)
+    nc = len(con_rows)
+    C = scipy.sparse.csr_matrix((cx, (ci, cj)), shape=(nc, ne))
+    ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))) if len(m) else 1.0)
+    top = scipy.sparse.hstack([D.T @ D + ridge * scipy.sparse.identity(ne), C.T])
+    if not nc:
+        return top.tocsc(), D.T @ m
+    bottom = scipy.sparse.hstack([C, scipy.sparse.csr_matrix((nc, nc))])
+    return scipy.sparse.vstack([top, bottom]).tocsc(), np.concatenate([D.T @ m, np.array(con_rhs)])
+
+
+@pytest.mark.parametrize("case", ["disk", "annulus", "torus_with_hole", "closed_torus"])
+def test_kkt_assembly_matches_the_block_products(monkeypatch, request, case):
+    from reeb_orbit import circulation
+
+    if case == "closed_torus":
+        surf = ro.realize(request.getfixturevalue(case), resolution=6).surface
+    else:
+        surf = request.getfixturevalue(case)
+    g = ro.extract_reeb(surf, samples=16)
+    seen = []
+    original = circulation.kkt_system
+    monkeypatch.setattr(circulation, "kkt_system", lambda *args: seen.append(args) or original(*args))
+    synthesize_form(surf, g, *_zero_targets(g))
+    ((s, m, rows, rhs),) = seen
+    ne = len(s.edge_rows)
+    systems = [(rows, rhs), ([], []), (rows + [{0: 0.0, ne // 2: 1.0, ne - 1: -0.5}], rhs + [0.25])]
+    for con_rows, con_rhs in systems:
+        kkt, b = original(s, m, con_rows, con_rhs)
+        want, want_b = reference_kkt(s, m, con_rows, con_rhs)
+        # spsolve sorts the indices of each column before it solves; the
+        # stacks leave them unsorted when there is no constraint row
+        want.sum_duplicates()
+        assert kkt.format == "csc" and kkt.has_canonical_format
+        assert np.array_equal(kkt.indptr, want.indptr)
+        assert np.array_equal(kkt.indices, want.indices)
+        assert kkt.data.tobytes() == want.data.tobytes()
+        assert b.tobytes() == want_b.tobytes()
+    # the explicit zero weight stays a stored entry, as in the stacks
+    assert kkt.nnz == want.nnz == original(s, m, rows, rhs)[0].nnz + 6
 
 
 # -- graph-side kernels against their rational and per-point references ---------------

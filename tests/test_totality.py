@@ -10,7 +10,12 @@ import contextlib
 import copy
 import io
 import json
+import math
+import os
 import re
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reeb_orbit import ParseError, ReebOrbitError, cli
+import reeb_orbit
+from reeb_orbit import ParseError, ReebOrbitError, cli, surface
 from reeb_orbit.circulation import DiscreteOneForm
 from reeb_orbit.models import square_mesh
 from reeb_orbit.serialize import (
@@ -29,7 +35,7 @@ from reeb_orbit.serialize import (
     oneform_from_dict,
     oneform_to_dict,
 )
-from reeb_orbit.surface import PLSurface, load_mesh
+from reeb_orbit.surface import PLSurface, decode_json, load_mesh
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
 KEYS = (
@@ -298,3 +304,149 @@ def test_numbers_and_ids_off_their_json_type_exit_2(tmp_path_factory, command, d
         code = cli.main(argv)
     assert code == 2
     assert json.loads(out.getvalue())["error"] == "ParseError"
+
+
+# -- the decoder: orjson first, json for what orjson refuses -----------------------
+
+# a number literal as JSON text, up to 40 digits with an exponent: some are
+# integers beyond 64 bits, some beyond double range (decoded by json)
+NUMBER_TEXT = st.from_regex(r"-?(0|[1-9][0-9]{0,39})(\.[0-9]{1,20})?([eE][-+]?[0-9]{1,3})?", fullmatch=True)
+
+
+class Literal(str):
+    """A number leaf written into the JSON text as it stands."""
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**64 - 1)
+    | st.integers(min_value=2**64, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**63) - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, max_value=1e-300, min_value=-1e-300)
+    | st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0])
+    | NUMBER_TEXT.map(Literal)
+    | st.text(max_size=6)
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def _write(doc, ascii_only: bool) -> str:
+    if isinstance(doc, Literal):
+        return str(doc)
+    if isinstance(doc, list):
+        return "[" + ", ".join(_write(v, ascii_only) for v in doc) + "]"
+    if isinstance(doc, dict):
+        return "{" + ", ".join(
+            json.dumps(k, ensure_ascii=ascii_only) + ": " + _write(v, ascii_only) for k, v in doc.items()
+        ) + "}"
+    return json.dumps(doc, ensure_ascii=ascii_only)
+
+
+def _reference(text: str):
+    """json.loads, with orjson's one difference: when no number is beyond double
+    range, an integer outside [-2**63, 2**64) reads as its float."""
+    numbers = []
+    json.loads(text, parse_int=numbers.append, parse_float=numbers.append)
+    if any(math.isinf(float(n)) for n in numbers):
+        return json.loads(text)
+    return json.loads(text, parse_int=lambda n: int(n) if -(2**63) <= int(n) < 2**64 else float(n))
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, floats by their bits and objects in key order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(JSON_DOCS, st.booleans())
+def test_decoder_reads_documents_as_json_does(doc, ascii_only):
+    text = _write(doc, ascii_only)
+    want = _reference(text)
+    assert _same(decode_json(text.encode("utf-8"), "mesh"), want)
+    assert _same(decode_json(text, "mesh"), want)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        b"[NaN, Infinity, -Infinity]",
+        b'{"f": -Infinity}',
+        b"[1e400, -1e400, 1]",
+        b'\xef\xbb\xbf{"id": 1, "f": 0.5}',
+        '{"id": 1, "f": [0.5, "é"]}'.encode("utf-16-le"),
+        '{"id": 1, "f": [0.5, "é"]}'.encode("utf-16"),
+        '{"id": 1, "f": [0.5, "é"]}'.encode("utf-32"),
+        b'["\\ud800", 1]',
+        '["\\ud800", 1]',
+        '["\ud800", 1]',
+    ],
+    ids=["nan-inf", "minus-inf", "beyond-double", "bom", "utf16le", "utf16", "utf32",
+         "escaped-surrogate", "escaped-surrogate-str", "raw-surrogate-str"],
+)
+def test_decoder_falls_back_to_json(source):
+    assert repr(decode_json(source, "mesh")) == repr(json.loads(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [b"", b"   ", b"[1,]", b'{"a": }', b"{'a': 1}", b"nan", b"[1] [2]", b"\xff\xfe\xfd", "[1,", b"\xef\xbb\xbf"],
+)
+def test_decoder_words_errors_as_json_does(source):
+    with pytest.raises(ValueError) as want:
+        json.loads(source)
+    with pytest.raises(ParseError) as got:
+        decode_json(source, "mesh")
+    assert str(got.value) == f"invalid mesh JSON: {want.value}"
+
+
+@pytest.mark.parametrize("kind", ["mesh", "graph"])
+def test_an_id_beyond_64_bits_exits_2(tmp_path, kind):
+    # orjson reads 2**64 as a float and json as an int; the id field refuses both
+    doc = copy.deepcopy(VALID[kind])
+    doc["vertices"][0]["id"] = 2**64
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["validate" if kind == "mesh" else "invariants", str(path)])
+    assert code == 2
+    assert json.loads(out.getvalue())["error"] == "ParseError"
+
+
+def test_deep_nesting_exits_2(tmp_path):
+    # json raised RecursionError, a traceback, and orjson 3.8 overflows the C
+    # stack on such a document, so the CLI runs in a child process
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    src = str(Path(reeb_orbit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from reeb_orbit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "validate", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert json.loads(done.stdout)["error"] == "ParseError"
+    # each level takes a bracket or brace, so few of them keep orjson shallow
+    limit = surface.ORJSON_MAX_OPENERS
+    for kind in (str, bytes, bytearray):
+        few = ("{" * (limit // 2) + "[" * (limit // 2 - 1) + " " * limit).encode()
+        assert surface._few_openers(few.decode() if kind is str else kind(few))
+        many = few + b"["
+        assert not surface._few_openers(many.decode() if kind is str else kind(many))
+    with pytest.raises(ParseError, match="maximum recursion depth"):
+        decode_json("[" * 200_000 + "]" * 200_000, "mesh")
