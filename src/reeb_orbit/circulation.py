@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import linalg
 from .errors import InfeasibleTarget, InvalidGraph, LevelOnVertex
@@ -618,6 +616,8 @@ def kkt_system(
     the sparse products and block stacks ``D.T @ D + ridge * I``, ``C``,
     ``C.T`` once their indices are sorted, so the solve sees the same system.
     """
+    import scipy.sparse
+
     ne, signs = len(s.edge_rows), _side_signs(s)
     sides, tri_signs = s.edge_of.reshape(-1, 3), signs.reshape(-1, 3)
     gram = scipy.sparse.csc_matrix(
@@ -661,6 +661,8 @@ def synthesize_form(
     discretization order, so the probe constraints get priority and the
     vorticity absorbs the residual.
     """
+    import scipy.sparse.linalg
+
     ctx = ensure_context(s, g)
     lo, hi = g.f_range()
     scale = max(1.0, g.total_mass * max(1.0, hi - lo))

@@ -61,25 +61,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    g = _read_graph(args.graph)
-    dims = graph_core.homology_dims(g)
-    try:
-        formula = {"value": graph_core.genus(g, method="formula")}
-    except ReebOrbitError as exc:
-        formula = {
-            "error": type(exc).__name__,
-            "value": graph_core.genus_formula_value(g),
-        }
-    b = graph_core.sigma(g)
-    payload = {
-        "sigma": b,
-        "genus_realize": graph_core.handle_genus(g, b),
-        "genus_formula": formula,
-        "homology": dims.to_dict(),
-        "total_mass": g.total_mass,
-        "orbit_moduli_dimension": graph_core.orbit_moduli_dimension(g),
-    }
-    _emit(payload)
+    _emit(graph_core.invariants(_read_graph(args.graph)))
     return 0
 
 

@@ -153,6 +153,10 @@ class HomologyDims:
             "h0_intersection": self.h0_intersection,
         }
 
+    @property
+    def orbit_moduli_dimension(self) -> int:
+        return self.h1_rel + self.h1_dashed
+
 
 def _subgraph_dims(vertices: set[int], edges: list[tuple[int, int]]) -> tuple[int, int]:
     """(h0, h1) of a graph given as vertex set plus edge endpoint pairs."""
@@ -262,32 +266,54 @@ def genus(g: MeasuredReebGraph, method: str = "realize") -> int:
         g.validate()
         return handle_genus(g, sigma(g))
     if method == "formula":
-        value = genus_formula_value(g)
-        if abs(value - round(value)) > 1e-9:
-            raise NonIntegerFormulaValue(value)
-        return int(round(value))
+        return _integer_formula_genus(genus_formula_value(g))
     raise ValueError(f"unknown genus method {method!r}")
 
 
 def genus_formula_value(g: MeasuredReebGraph) -> float:
     """Raw value of the closed genus formula under the naive conventions."""
+    return _formula_value(g, homology_dims(g), sigma(g))
+
+
+def _formula_value(g: MeasuredReebGraph, dims: HomologyDims, sig: int) -> float:
+    """The closed genus formula, given the graph's homology and sigma."""
     solid = g.solid_edges()
-    dashed = g.dashed_edges()
-    solid_vs = {e.tail for e in solid} | {e.head for e in solid}
-    dashed_vs = {e.tail for e in dashed} | {e.head for e in dashed}
-    chi_s = len(solid_vs) - len(solid)
-    chi_d = len(dashed_vs) - len(dashed)
-    h0_s, _ = _subgraph_dims(solid_vs, [(e.tail, e.head) for e in solid])
-    h0_d, _ = _subgraph_dims(dashed_vs, [(e.tail, e.head) for e in dashed])
-    h0_inter = len(solid_vs & dashed_vs)
-    sig = sigma(g)
+    chi_s = len({e.tail for e in solid} | {e.head for e in solid}) - len(solid)
+    chi_d = dims.h0_dashed - dims.h1_dashed
     return (
         -chi_s
-        + (-chi_d + 5 * h0_inter - sig) / 2.0
-        - h0_s
-        - h0_d
+        + (-chi_d + 5 * dims.h0_intersection - sig) / 2.0
+        - dims.h0_solid
+        - dims.h0_dashed
         + 3.0
     )
+
+
+def _integer_formula_genus(value: float) -> int:
+    if abs(value - round(value)) > 1e-9:
+        raise NonIntegerFormulaValue(value)
+    return int(round(value))
+
+
+def invariants(g: MeasuredReebGraph) -> dict:
+    """The ``invariants`` report of a validated graph: sigma, the handle
+    genus, the closed formula (its value, or its error beside the raw
+    value), homology and total mass, from one boundary-cycle walk and one
+    homology count."""
+    dims, b = homology_dims(g), sigma(g)
+    value = _formula_value(g, dims, b)
+    try:
+        formula = {"value": _integer_formula_genus(value)}
+    except NonIntegerFormulaValue as exc:
+        formula = {"error": type(exc).__name__, "value": value}
+    return {
+        "sigma": b,
+        "genus_realize": handle_genus(g, b),
+        "genus_formula": formula,
+        "homology": dims.to_dict(),
+        "total_mass": g.total_mass,
+        "orbit_moduli_dimension": dims.orbit_moduli_dimension,
+    }
 
 
 @dataclass(frozen=True)
@@ -318,5 +344,4 @@ def compatibility(
 
 def orbit_moduli_dimension(g: MeasuredReebGraph) -> int:
     """Dimension of the space of orbits sharing this measured graph."""
-    dims = homology_dims(g)
-    return dims.h1_rel + dims.h1_dashed
+    return homology_dims(g).orbit_moduli_dimension

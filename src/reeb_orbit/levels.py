@@ -241,9 +241,12 @@ def slab_triangle_components(s: PLSurface, cuts) -> SlabLabels:
     for ``cuts`` ascending.
 
     A triangle, and an interior edge, meets a contiguous run of slabs, so one
-    min_labels pass over the nodes labels every slab: links join nodes of
-    one slab only, so the smallest node of a component is that of its
-    smallest triangle.
+    min_labels pass over the nodes labels every slab.  The pass numbers the
+    nodes triangle by triangle, as ``_expand_runs`` emits them, so that the
+    node of (triangle t, slab j) is ``start[t] + j``; links join nodes of one
+    slab only, so in either numbering the smallest node of a component is
+    that of its smallest triangle.  One stable sort by slab then gives the
+    slab-major numbering of ``SlabLabels``.
     """
     tables = level_tables(s)
     cuts = np.asarray(cuts, dtype=float)
@@ -256,14 +259,14 @@ def slab_triangle_components(s: PLSurface, cuts) -> SlabLabels:
     first, stop = slab_runs(tables.fmin, tables.fmax)
     stop[tables.fmin == tables.fmax] = 0  # a flat triangle has no area in any slab
     tri, slab = _expand_runs(first, stop)
-    nodes = np.sort(slab * n + tri)
+    counts = np.maximum(stop - first, 0)
+    start = np.cumsum(counts) - counts - first
     a, b = tables.adj[:, 0], tables.adj[:, 1]
     e_first, e_stop = slab_runs(tables.adj_fmin, tables.adj_fmax)
     # an edge links its two triangles in the slabs that both of them meet
-    edge, slab = _expand_runs(e_first, np.minimum(e_stop, np.minimum(stop[a], stop[b])))
-    roots = min_labels(
-        len(nodes),
-        np.searchsorted(nodes, slab * n + a[edge]),
-        np.searchsorted(nodes, slab * n + b[edge]),
-    )
-    return SlabLabels(n, nodes, roots)
+    edge, e_slab = _expand_runs(e_first, np.minimum(e_stop, np.minimum(stop[a], stop[b])))
+    roots = min_labels(len(tri), start[a[edge]] + e_slab, start[b[edge]] + e_slab)
+    order = np.argsort(slab, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return SlabLabels(n, slab[order] * n + tri[order], rank[roots[order]])

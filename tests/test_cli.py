@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -500,6 +503,30 @@ def test_invariants_builds_no_surface(capsys, monkeypatch):
     assert json.loads(out)["genus_realize"] == 1
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig4a", "closed_torus"])
+def test_invariants_walks_the_boundary_and_counts_homology_once(capsys, monkeypatch, name):
+    # the formula value, sigma and the orbit dimension share one boundary-cycle
+    # walk and one homology count, whether or not the formula is an integer
+    from reeb_orbit import graph_core
+
+    calls = {"boundary_cycles": 0, "homology_dims": 0}
+    for fn in calls:
+        original = getattr(graph_core, fn)
+
+        def counting(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(graph_core, fn, counting)
+    code, out, _ = run(capsys, "invariants", str(DATA / f"{name}.json"))
+    assert code == 0
+    assert calls == {"boundary_cycles": 1, "homology_dims": 1}
+    doc = json.loads(out)
+    g = serialize.load_graph((DATA / f"{name}.json").read_bytes())
+    assert doc["genus_formula"]["value"] == graph_core.genus_formula_value(g)
+    assert doc["orbit_moduli_dimension"] == graph_core.orbit_moduli_dimension(g)
+
+
 def test_non_alternating_iv_order_exits_2(capsys, tmp_path):
     from reeb_orbit.fuzz import random_measured_graph
 
@@ -539,6 +566,68 @@ def test_pinched_vertex_exits_2(capsys, tmp_path):
             "error": "TopologyError",
             "message": "non-manifold star at vertex 1",
         }
+
+
+# runs each command line of argv[1] through cli.main, then reports the exit
+# codes and the scipy modules the process imported
+_COMMANDS_CHILD = """
+import contextlib, io, json, sys
+from reeb_orbit import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _run_commands_in_child(commands):
+    src = str(Path(ro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_CHILD, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+def test_only_synthesize_imports_scipy(capsys, tmp_path):
+    # the sparse KKT solve of synthesis is scipy's only use, so every other
+    # command runs in a process that never imports it
+    from reeb_orbit.circulation import dashed_cycle_basis, exact_form
+
+    disk, fig2, fig4a, fig4b = (str(DATA / f"{name}.json") for name in ("disk_linear", "fig2", "fig4a", "fig4b"))
+    mesh, graph, form, circ, targets = (str(tmp_path / f"{name}.json") for name in ("mesh", "graph", "form", "circ", "targets"))
+    s = ro.realize(serialize.load_graph(Path(fig2).read_bytes()), resolution=4).surface
+    Path(mesh).write_text(serialize.dumps(s.to_dict()))
+    assert run(capsys, "extract", mesh, "--samples", "8", "-o", graph)[0] == 0
+    Path(form).write_text(serialize.dumps(serialize.oneform_to_dict(exact_form(s, s.f))))
+    particular = json.loads(run(capsys, "circulation", "solve", graph)[1])["particular"]
+    Path(circ).write_text(json.dumps({"circulation": particular}))
+    basis = [list(c) for c in dashed_cycle_basis(serialize.load_graph(Path(graph).read_bytes()))]
+    Path(targets).write_text(json.dumps(
+        {"circulation": particular, "xi": {"basis": basis, "coords": [0.0] * len(basis)}}
+    ))
+    others = [
+        ["validate", disk],
+        ["extract", disk, "--samples", "8"],
+        ["invariants", fig2],
+        ["compare", fig4a, fig4b],
+        ["circulation", "solve", graph],
+        ["circulation", "check", graph, circ],
+        ["xi", mesh, form, graph],
+        ["dot", fig2],
+        ["realize", fig2, "--resolution", "4"],
+        ["fuzz", "--cases", "1"],
+    ]
+    assert _run_commands_in_child(others) == {"codes": [0, 0, 0, 1, 0, 0, 0, 0, 0, 0], "scipy": []}
+    # the check is not vacuous: synthesis does import the solver
+    synthesized = _run_commands_in_child([["synthesize", mesh, graph, targets]])
+    assert synthesized["codes"] == [0]
+    assert "scipy.sparse.linalg" in synthesized["scipy"]
 
 
 def test_extract_payload_byte_identical(capsys):

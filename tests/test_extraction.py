@@ -37,7 +37,7 @@ from reeb_orbit.levels import (
 )
 from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
 from reeb_orbit.serialize import dumps
-from reeb_orbit.surface import edge_key, remap
+from reeb_orbit.surface import edge_key, min_labels, remap
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
 
@@ -500,6 +500,43 @@ def test_level_kernels_match_reference_loops(name):
     for t in bands:
         chords = {c.tri: c for comp in trace_level(s, t) for c in comp.chords}
         assert dict(sorted(chords.items())) == reference_chords(s, t)
+
+
+def searchsorted_slab_labels(s, cuts):
+    """The slab labelling as first vectorized: nodes sorted slab-major and
+    each link's two nodes found by a binary search over all of them."""
+    tables = level_tables(s)
+    cuts = np.asarray(cuts, dtype=float)
+    n = len(tables.fmin)
+
+    def slab_runs(fmin, fmax):
+        return np.searchsorted(cuts[1:], fmin, "right"), np.searchsorted(cuts[:-1], fmax, "left")
+
+    first, stop = slab_runs(tables.fmin, tables.fmax)
+    stop[tables.fmin == tables.fmax] = 0
+    tri, slab = levels._expand_runs(first, stop)
+    nodes = np.sort(slab * n + tri)
+    a, b = tables.adj[:, 0], tables.adj[:, 1]
+    e_first, e_stop = slab_runs(tables.adj_fmin, tables.adj_fmax)
+    edge, slab = levels._expand_runs(e_first, np.minimum(e_stop, np.minimum(stop[a], stop[b])))
+    roots = min_labels(
+        len(nodes),
+        np.searchsorted(nodes, slab * n + a[edge]),
+        np.searchsorted(nodes, slab * n + b[edge]),
+    )
+    return nodes, roots
+
+
+def test_slab_labels_match_the_searchsorted_pass():
+    # numbering nodes triangle by triangle and sorting them once by slab gives
+    # the very keys and roots of the binary-search pass, at both cut lists
+    for s in _witness_meshes():
+        ctx = extraction._witness(s)[2]
+        for cuts in (ctx.critical_values, [-math.inf, *ctx.band_values, math.inf]):
+            labels = slab_triangle_components(s, cuts)
+            keys, roots = searchsorted_slab_labels(s, cuts)
+            np.testing.assert_array_equal(labels.keys, keys)
+            np.testing.assert_array_equal(labels.roots, roots)
 
 
 def reference_trace_level(s, t):
