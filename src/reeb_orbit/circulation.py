@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import InfeasibleTarget, InvalidGraph, LevelOnVertex
+from .errors import InfeasibleTarget, InvalidGraph, LevelOnVertex, check_tolerances
 from .extraction import ExtractionContext, ensure_context
 from .levels import DSU, LevelComponent, crossing_param, level_tables, trace_level
 from .reebgraph import MeasuredReebGraph, ReebEdge
 from .surface import EdgeKey, PLSurface, edge_key
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # -- data types --------------------------------------------------------------------
 
@@ -141,6 +144,7 @@ def check_circulation(
     solids = g.solid_edges()
     if sorted(c.limits) != sorted(e.id for e in solids):
         raise InvalidGraph("circulation data must cover exactly the solid edges")
+    check_tolerances(tol=tol)
     if tol is None:
         lo, hi = g.f_range()
         tol = 1e-9 * max(1.0, g.total_mass * (hi - lo))
@@ -164,52 +168,49 @@ def solve_circulations(g: MeasuredReebGraph) -> CirculationSolveResult:
     One unknown per solid edge (the tail limit; the head limit follows from
     the moment).  Vertices incident to a dashed edge impose no constraint;
     on an all-solid graph a solution exists exactly when the total moment
-    vanishes.  The constraint rows are a node-arc incidence matrix, so the
-    homogeneous basis is the fundamental cycles of a spanning forest.
+    vanishes.  The constraints are Kirchhoff's rule on the solid edges' arcs,
+    with the unconstrained vertices as one ground node.  On the spanning forest
+    taken in edge id order, the basis is the fundamental cycles; the
+    particular solution is 0 on the arcs that close a cycle and peels each
+    tree from its leaves to the ground, or to its smallest node, where the
+    leftover must vanish.
     """
     solids = sorted(g.solid_edges(), key=lambda e: e.id)
-    col = {e.id: i for i, e in enumerate(solids)}
     moments = {e.id: edge_moment(g, e) for e in solids}
+    lo, hi = g.f_range()
 
     if not g.dashed_edges():
-        lo, hi = g.f_range()
         tol = 1e-9 * max(1.0, g.total_mass) * max(1.0, hi - lo)
         tm = float(math.fsum(moments.values()))
         if abs(tm) > tol:
             return CirculationSolveResult(False, None, [], violated_moment=tm)
 
-    rows: list[list[int]] = []
-    rhs: list[float] = []
-    for ins, outs in _solid_only_stars(g).values():
-        row = [0] * len(solids)
-        b = 0.0
-        for e in ins:
-            row[col[e.id]] += 1
-            b -= moments[e.id]
-        for e in outs:
-            row[col[e.id]] -= 1
-        rows.append(row)
-        rhs.append(b)
-
-    null = linalg.nullspace(rows, len(solids))
-    # an empty system has the zero least-squares solution
-    A = np.array(rows, dtype=float).reshape(len(rows), len(solids))
-    x, *_ = np.linalg.lstsq(A, np.array(rhs), rcond=None)
-    residual = float(np.max(np.abs(A @ x - np.array(rhs)))) if len(rhs) else 0.0
-    lo, hi = g.f_range()
+    stars = _solid_only_stars(g)
+    node = {vid: i for i, vid in enumerate(stars)}
+    ground = len(stars)
+    arcs = [(node.get(e.tail, ground), node.get(e.head, ground)) for e in solids]
+    # the inflow each node still lacks: minus the moments arriving at it
+    need = [0.0 - math.fsum(moments[e.id] for e in ins) for ins, _ in stars.values()] + [0.0]
+    up, _ = linalg.spanning_forest(arcs, [ground, *range(ground)])
     scale = max(1.0, g.total_mass * max(1.0, hi - lo))
-    if residual > 1e-8 * scale:
-        return CirculationSolveResult(
-            False, None, [], violated_moment=float(math.fsum(moments.values()))
-        )
+    x = [0.0] * len(solids)
+    for v in reversed(up):
+        if up[v] is not None:
+            p, j = up[v]
+            x[j] = need[v] if arcs[j][1] == v else 0.0 - need[v]
+            need[p] += need[v]
+        elif v != ground and abs(need[v]) > 1e-8 * scale:
+            return CirculationSolveResult(
+                False, None, [], violated_moment=float(math.fsum(moments.values()))
+            )
 
     particular = CirculationFunction(
-        {e.id: (float(x[col[e.id]]), float(x[col[e.id]] + moments[e.id])) for e in solids}
+        {e.id: (x[i], x[i] + moments[e.id]) for i, e in enumerate(solids)}
     )
-    basis = []
-    for vec in null:
-        delta = {e.id: (float(vec[col[e.id]]), float(vec[col[e.id]])) for e in solids}
-        basis.append(CirculationFunction(delta))
+    basis = [
+        CirculationFunction({e.id: (float(vec[i]), float(vec[i])) for i, e in enumerate(solids)})
+        for vec in linalg.nullspace(arcs)
+    ]
     return CirculationSolveResult(True, particular, basis)
 
 
@@ -355,33 +356,28 @@ def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
         t = crossing_param(s, key, value)
         return t if direction == key else 1.0 - t
 
-    pieces: list[tuple[tuple[int, int], float, float]] = []
+    def clip_node(direction: tuple[int, int], target: float, end: int) -> tuple[Node, float]:
+        """The node where the walk along ``direction`` meets ``target``, and
+        its parameter, when ``direction[end]`` is past or on it."""
+        if s.f[direction[end]] == target:
+            return ("v", direction[end]), float(end)
+        key = edge_key(*direction)
+        return ("x", key), dir_param(key, direction, target)
 
-    # ascend forward from the start crossing
-    start_dir = chain[i0]
-    t0 = dir_param(start_key, start_dir, level)
-    if s.f[start_dir[1]] < level:
+    t0 = dir_param(start_key, chain[i0], level)
+    if s.f[chain[i0][1]] < level:
         raise InvalidGraph("boundary walk does not ascend along the orientation")
 
-    def clip_node(direction: tuple[int, int], target: float) -> tuple[Node, float]:
-        du, dv = direction
-        if s.f[dv] == target:
-            return ("v", dv), 1.0
-        key = edge_key(du, dv)
-        t = dir_param(key, direction, target)
-        return ("x", key), t
-
     # forward to hi
+    pieces: list[tuple[tuple[int, int], float, float]] = []
     idx = i0
     s_from = t0
     end_node: Optional[Node] = None
     for _ in range(2 * n + 2):
         direction = chain[idx % n]
-        fv = s.f[direction[1]]
-        if fv >= hi:
-            node, s_to = clip_node(direction, hi)
+        if s.f[direction[1]] >= hi:
+            end_node, s_to = clip_node(direction, hi, 1)
             pieces.append((direction, s_from, s_to))
-            end_node = node
             break
         pieces.append((direction, s_from, 1.0))
         idx += 1
@@ -396,18 +392,9 @@ def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
     start_node: Optional[Node] = None
     for _ in range(2 * n + 2):
         direction = chain[idx % n]
-        du, dv = direction
-        fu = s.f[du]
-        if fu <= lo:
-            if fu == lo:
-                node: Node = ("v", du)
-                s_from = 0.0
-            else:
-                key = edge_key(du, dv)
-                s_from = dir_param(key, direction, lo)
-                node = ("x", key)
+        if s.f[direction[0]] <= lo:
+            start_node, s_from = clip_node(direction, lo, 0)
             back.append((direction, s_from, s_to))
-            start_node = node
             break
         back.append((direction, 0.0, s_to))
         idx -= 1
@@ -436,34 +423,22 @@ def _level_graph(
     level_keys: set[EdgeKey] = set()
     chords = []
     for tri in near:
-        verts = [int(x) for x in s.triangles[tri]]
-        on = [x for x in verts if x in at_level]
-        level_keys.update(
-            edge_key(verts[i], verts[(i + 1) % 3])
-            for i in range(3)
-            if verts[i] in at_level and verts[(i + 1) % 3] in at_level
-        )
-        if len(on) == 1:
-            others = [x for x in verts if x not in at_level]
-            key = edge_key(others[0], others[1])
-            if (s.f[others[0]] - c) * (s.f[others[1]] - c) < 0:
-                lam_p = {on[0]: 1.0}
-                lam_q = _bary_of_crossing(s, key, c)
-                chords.append(
-                    (("v", on[0]), ("x", key), _chord_coeffs(s, tri, lam_p, lam_q))
-                )
-        elif len(on) == 0:
-            crossed = [
-                edge_key(verts[i], verts[(i + 1) % 3])
-                for i in range(3)
-                if (s.f[verts[i]] - c) * (s.f[verts[(i + 1) % 3]] - c) < 0
-            ]
-            if len(crossed) == 2:
-                lam_p = _bary_of_crossing(s, crossed[0], c)
-                lam_q = _bary_of_crossing(s, crossed[1], c)
-                chords.append(
-                    (("x", crossed[0]), ("x", crossed[1]), _chord_coeffs(s, tri, lam_p, lam_q))
-                )
+        verts = s.triangles[tri].tolist()
+        # where the level meets the sides, in side order: its vertices on the
+        # level and its crossings strictly inside a side
+        points = []
+        for u, v in zip(verts, verts[1:] + verts[:1]):
+            if u in at_level:
+                points.append((("v", u), {u: 1.0}))
+                if v in at_level:
+                    level_keys.add(edge_key(u, v))
+            elif v not in at_level and (s.f[u] - c) * (s.f[v] - c) < 0:
+                key = edge_key(u, v)
+                points.append((("x", key), _bary_of_crossing(s, key, c)))
+        points.sort(key=lambda point: point[0][0])  # a vertex before a crossing
+        if len(points) == 2 and points[1][0][0] == "x":
+            (a, lam_p), (b, lam_q) = points
+            chords.append((a, b, _chord_coeffs(s, tri, lam_p, lam_q)))
     edges: list[tuple[Node, Node, dict[int, float]]] = [
         (("v", u), ("v", v), {int(s.edge_number(u, v)): 1.0}) for u, v in sorted(level_keys)
     ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .circulation import AugmentedCirculationGraph, cycle_edge_vector
-from .errors import AmbiguousMatching
+from .errors import AmbiguousMatching, check_tolerances
 from .reebgraph import MeasuredReebGraph
 
 @dataclass(frozen=True)
@@ -104,6 +104,7 @@ def match_measured(
     TYPES, ADJACENCY, STYLE, CYCLIC_ORDER, MEASURE.  Raises
     AmbiguousMatching when critical values collide within tolerance.
     """
+    check_tolerances(tol_f=tol_f, tol_mass=tol_mass)
     if tol_f is None:
         los = [g.f_range() for g in (g1, g2)]
         rng = max(hi - lo for lo, hi in los)
@@ -250,6 +251,7 @@ def match_augmented(
     under the edge map, then transports the first graph's cycle basis through
     the map and evaluates the second graph's coordinates on it.
     """
+    check_tolerances(tol_circ=tol_circ, tol_xi=tol_xi)
     iso = match_measured(a1.graph, a2.graph, tol_f=tol_f, tol_mass=tol_mass)
     if not iso.ok:
         return iso

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ReebOrbitError(Exception):
     """Base class for all package errors."""
@@ -56,3 +58,10 @@ class NonIntegerFormulaValue(ReebOrbitError):
     def __init__(self, value: float):
         super().__init__(f"genus formula returned non-integer value {value!r}")
         self.value = value
+
+
+def check_tolerances(**tols: float | None) -> None:
+    """Raise DataError unless each tolerance given (not None) is finite and non-negative."""
+    for name, tol in tols.items():
+        if tol is not None and not 0.0 <= tol < math.inf:
+            raise DataError(f"{name} must be finite and non-negative, got {tol!r}")

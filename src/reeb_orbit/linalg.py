@@ -1,35 +1,32 @@
 """Exact linear algebra for small integer systems.
 
-Kernels of node-arc incidence matrices come from a spanning forest and its
-fundamental cycles, and solves use Gaussian elimination over the rationals,
-so dimension counts are exact integers rather than numerical rank estimates.
+Systems whose matrix is the node-arc incidence matrix of a list of arcs are
+solved on the spanning forest that takes the arcs greedily in order: the
+kernel is spanned by the fundamental cycles of the arcs that close a cycle,
+and one solution comes from peeling the trees from their leaves.  Other
+systems are solved by Gaussian elimination over the rationals.  Dimension
+counts are exact integers rather than numerical rank estimates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Hashable, Optional, Sequence
-
-import numpy as np
 
 from .levels import DSU
 
 
-def rref(rows: Sequence[Sequence[float]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    mat = [[Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x
-            for x in row] for row in rows]
+    mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
@@ -46,6 +43,42 @@ def rref(rows: Sequence[Sequence[float]]) -> tuple[list[list[Fraction]], list[in
     return mat, pivots
 
 
+def spanning_forest(
+    arcs: Sequence[tuple[Hashable, Hashable]], roots: Sequence[Hashable] = ()
+) -> tuple[dict[Hashable, Optional[tuple[Hashable, int]]], list[int]]:
+    """The spanning forest that takes the arcs (tail, head) greedily in the
+    given order, rooted at the first of ``roots`` in each tree, or else at the
+    first node of its tree arcs.
+
+    Returns the (parent, arc index) of each node of ``roots`` or of a tree
+    arc, None at a root, in breadth-first order tree by tree, so a parent
+    always comes before its children; and the indices of the arcs that close
+    a cycle, in order.
+    """
+    dsu = DSU()
+    adj: dict[Hashable, list[tuple[Hashable, int]]] = {}
+    closing = []
+    for i, (t, h) in enumerate(arcs):
+        if dsu.find(t) == dsu.find(h):
+            closing.append(i)
+        else:
+            dsu.union(t, h)
+            adj.setdefault(t, []).append((h, i))
+            adj.setdefault(h, []).append((t, i))
+    up: dict[Hashable, Optional[tuple[Hashable, int]]] = {}
+    for r in chain(roots, adj):
+        if r in up:
+            continue
+        up[r] = None
+        tree = [r]
+        for x in tree:
+            for y, j in adj.get(x, ()):
+                if y not in up:
+                    up[y] = (x, j)
+                    tree.append(y)
+    return up, closing
+
+
 def fundamental_cycles(
     arcs: Sequence[tuple[Hashable, Hashable]]
 ) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -56,54 +89,33 @@ def fundamental_cycles(
     forest path from its head back to its tail as (arc index, sign) steps,
     with sign +1 where the step runs from the arc's tail to its head.
     """
-    dsu = DSU()
-    adj: dict[Hashable, list[tuple[Hashable, int]]] = {}
+    up, closing = spanning_forest(arcs)
+    rank = {x: k for k, x in enumerate(up)}
     cycles = []
-    for i, (t, h) in enumerate(arcs):
-        if dsu.find(t) != dsu.find(h):
-            dsu.union(t, h)
-            adj.setdefault(t, []).append((h, i))
-            adj.setdefault(h, []).append((t, i))
-            continue
-        # the forest so far already holds the whole path
-        reached: dict[Hashable, Optional[tuple[Hashable, int]]] = {h: None}
-        stack = [h]
-        while t not in reached:
-            x = stack.pop()
-            for y, j in adj[x]:
-                if y not in reached:
-                    reached[y] = (x, j)
-                    stack.append(y)
-        steps = []
-        while reached[t] is not None:
-            x, j = reached[t]
-            steps.append((j, 1 if arcs[j][1] == t else -1))
-            t = x
-        cycles.append((i, steps[::-1]))
+    for i in closing:
+        t, h = arcs[i]
+        # climb from the later end until both meet: a parent ranks first
+        from_head, to_tail = [], []
+        while h != t:
+            if rank[h] > rank[t]:
+                x, j = up[h]
+                from_head.append((j, 1 if arcs[j][1] == x else -1))
+                h = x
+            else:
+                x, j = up[t]
+                to_tail.append((j, 1 if arcs[j][1] == t else -1))
+                t = x
+        cycles.append((i, from_head + to_tail[::-1]))
     return cycles
 
 
-def nullspace(rows: Sequence[Sequence[float]], ncols: int) -> list[list[int]]:
-    """Kernel basis of a node-arc incidence matrix, one vector per free column,
-    in column order.
-
-    Each column is an arc: its +1 row is the head, its -1 row the tail, and a
-    missing end is one shared ground node.  The pivot columns of the reduced
-    row echelon form are then the spanning forest taken greedily in column
-    order, and the kernel vector of a free column is its fundamental cycle.
-    Raises ValueError on any other matrix.
-    """
-    a = np.asarray(rows, dtype=float).reshape(len(rows), ncols)
-    plus, minus = a == 1.0, a == -1.0
-    if not (plus | minus | (a == 0.0)).all() or (plus.sum(0) > 1).any() or (minus.sum(0) > 1).any():
-        raise ValueError("not a node-arc incidence matrix")
-    # the ground node is row len(rows)
-    ground = np.ones((1, ncols), dtype=bool)
-    heads = np.vstack([plus, ground]).argmax(0).tolist()
-    tails = np.vstack([minus, ground]).argmax(0).tolist()
+def nullspace(arcs: Sequence[tuple[Hashable, Hashable]]) -> list[list[int]]:
+    """Kernel basis of the node-arc incidence matrix of the arcs (tail,
+    head), one vector per arc that closes a cycle, in arc order: its
+    fundamental cycle, +1 on the arc itself."""
     basis = []
-    for c, steps in fundamental_cycles(list(zip(tails, heads))):
-        vec = [0] * ncols
+    for c, steps in fundamental_cycles(arcs):
+        vec = [0] * len(arcs)
         vec[c] = 1
         for arc, sign in steps:
             vec[arc] = sign
@@ -112,7 +124,7 @@ def nullspace(rows: Sequence[Sequence[float]], ncols: int) -> list[list[int]]:
 
 
 def solve_exact(
-    rows: Sequence[Sequence[float]], rhs: Sequence[float]
+    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> Optional[list[Fraction]]:
     """One exact solution of A x = b, or None when inconsistent.
 

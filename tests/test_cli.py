@@ -96,6 +96,52 @@ def test_circulation_limit_off_its_json_type_exits_2(capsys, tmp_path, limit):
     assert json.loads(out)["error"] == "ParseError"
 
 
+def _fig2_copy(tmp_path, f_shift=0.0, mass_factor=1.0):
+    doc = json.loads((DATA / "fig2.json").read_text())
+    for v in doc["vertices"]:
+        v["f"] += f_shift
+    for e in doc["edges"]:
+        e["mass"] *= mass_factor
+        e["cumulative"] = [mass_factor * c for c in e["cumulative"]]
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "option, value, change",
+    [
+        ("--tol-mass", "nan", {"mass_factor": 3.0}),
+        ("--tol-f", "nan", {"f_shift": 0.5}),
+        ("--tol-mass", "inf", {"mass_factor": 3.0}),
+        ("--tol-f", "-1e-9", {}),
+    ],
+)
+def test_compare_rejects_non_finite_or_negative_tolerances(capsys, tmp_path, option, value, change):
+    # every comparison with a NaN tolerance is false, so no obstruction was
+    # ever found and the copy came out isomorphic
+    fig2, copy = str(DATA / "fig2.json"), _fig2_copy(tmp_path, **change)
+    assert run(capsys, "compare", fig2, copy)[0] == (1 if change else 0)
+    code, out, _ = run(capsys, "compare", fig2, copy, f"{option}={value}")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "DataError",
+        "message": f"{option[2:].replace('-', '_')} must be finite and non-negative, got {float(value)!r}",
+    }
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_circulation_check_rejects_non_finite_or_negative_tolerances(capsys, tmp_path, tol):
+    fig2 = str(DATA / "fig2.json")
+    particular = json.loads(run(capsys, "circulation", "solve", fig2)[1])["particular"]
+    payload = tmp_path / "circ.json"
+    payload.write_text(json.dumps({"circulation": {k: [t, h + 5.0] for k, (t, h) in particular.items()}}))
+    assert run(capsys, "circulation", "check", fig2, str(payload))[0] == 1
+    code, out, _ = run(capsys, "circulation", "check", fig2, str(payload), "--tol", tol)
+    assert code == 2
+    assert json.loads(out)["error"] == "DataError"
+
+
 def test_realize_and_compare(capsys, tmp_path):
     mesh_path = tmp_path / "fig2_mesh.json"
     code, _, err = run(capsys, "realize", str(DATA / "fig2.json"), "-o", str(mesh_path))

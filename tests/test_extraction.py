@@ -36,7 +36,7 @@ from reeb_orbit.levels import (
     trace_levels,
 )
 from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
-from reeb_orbit.serialize import dumps
+from reeb_orbit.serialize import dumps, graph_to_dict
 from reeb_orbit.surface import edge_key, min_labels, remap
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
@@ -749,19 +749,16 @@ def test_extraction_traces_each_band_once(monkeypatch):
     assert calls == {"trace_levels": 1, "trace_level": 0, "slab_triangle_components": 2}
 
 
-# Runs `reeb-orbit extract` through cli.main, then reports on its last stderr
-# line the OpenBLAS core that was loaded (None when numpy bundles no
-# scipy-openblas) and the CPU features numpy dispatches on.
-_EXTRACT_CHILD = """
+# Runs each command line of argv[1] through cli.main, then reports on its last
+# stderr line the exit codes, the OpenBLAS core that was loaded (None when
+# numpy bundles no scipy-openblas) and the CPU features numpy dispatches on.
+_KERNEL_CHILD = """
 import ctypes, glob, json, os, sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from reeb_orbit.cli import main
 
-for mesh in sys.argv[1:]:
-    for samples in ("12", "64"):
-        if main(["extract", mesh, "--samples", samples]) != 0:
-            sys.exit(1)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
 libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 core = None
 for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
@@ -769,7 +766,7 @@ for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     core = corename().decode()
 features = sorted(name for name, on in __cpu_features__.items() if on)
-sys.stderr.write("\\n" + json.dumps({"core": core, "features": features}) + "\\n")
+sys.stderr.write("\\n" + json.dumps({"codes": codes, "core": core, "features": features}) + "\\n")
 """
 
 KERNEL_SETTINGS = [
@@ -779,35 +776,47 @@ KERNEL_SETTINGS = [
 ]
 
 
-def _extract_in_child(meshes, setting):
+def _run_in_child(commands, setting):
     src = str(Path(extraction.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
     env.update(setting, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", _EXTRACT_CHILD, *map(str, meshes)],
+        [sys.executable, "-c", _KERNEL_CHILD, json.dumps(commands)],
         capture_output=True,
         env=env,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr.decode()
-    return done.stdout, json.loads(done.stderr.decode().splitlines()[-1])
+    report = json.loads(done.stderr.decode().splitlines()[-1])
+    return done.stdout, report.pop("codes"), report
 
 
 @pytest.fixture(scope="module")
-def default_extracts(tmp_path_factory):
-    fuzz = tmp_path_factory.mktemp("kernels") / "fuzz20000.json"
-    fuzz.write_text(dumps(realize(random_measured_graph(20000), resolution=6).surface.to_dict()))
-    meshes = [DATA / "disk_linear.json", fuzz]
-    return meshes, *_extract_in_child(meshes, {})
+def default_outputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("kernels")
+    g = random_measured_graph(20000)
+    mesh, graph = tmp / "fuzz20000.json", tmp / "fuzz20000-graph.json"
+    mesh.write_text(dumps(realize(g, resolution=6).surface.to_dict()))
+    graph.write_text(dumps(graph_to_dict(g)))
+    graphs = [DATA / f"{name}.json" for name in ("closed_torus", "fig2", "fig4a", "fig4b")] + [graph]
+    commands = [
+        ["extract", str(m), "--samples", k] for m in (DATA / "disk_linear.json", mesh) for k in ("12", "64")
+    ] + [["circulation", "solve", str(p)] for p in graphs]
+    out, codes, loaded = _run_in_child(commands, {})
+    assert codes == [0] * len(commands)
+    return commands, out, loaded
 
 
 @pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=lambda setting: " ".join(setting.values()))
-def test_extract_bytes_do_not_depend_on_the_kernels(default_extracts, setting):
-    # profile sums take their order from the code, so neither the OpenBLAS
-    # kernel nor numpy's SIMD dispatch may change a byte of `extract`; a
-    # setting the child's libraries ignored proves nothing and skips
-    meshes, want, default = default_extracts
-    got, loaded = _extract_in_child(meshes, setting)
+def test_extract_bytes_do_not_depend_on_the_kernels(default_outputs, setting):
+    # profile sums take their order from the code and circulation solving
+    # peels a spanning forest in plain floats, so neither the OpenBLAS kernel
+    # nor numpy's SIMD dispatch may change a byte of `extract` or
+    # `circulation solve`; a setting the child's libraries ignored proves
+    # nothing and skips
+    commands, want, default = default_outputs
+    got, codes, loaded = _run_in_child(commands, setting)
     if loaded == default:
         pytest.skip(f"{setting} changed neither the OpenBLAS core nor the CPU features: {default}")
+    assert codes == [0] * len(commands)
     assert got == want
