@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import InfeasibleTarget, InvalidGraph, LevelOnVertex, check_tolerances
+from .dualtree import dual_tree_solve, side_signs
+from .errors import DataError, InfeasibleTarget, InvalidGraph, LevelOnVertex, check_tolerances
 from .extraction import ExtractionContext, ensure_context
 from .levels import DSU, LevelComponent, crossing_param, level_tables, trace_level
 from .reebgraph import MeasuredReebGraph, ReebEdge
 from .surface import EdgeKey, PLSurface, edge_key
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 # -- data types --------------------------------------------------------------------
 
@@ -53,11 +51,6 @@ def exact_form(s: PLSurface, potential: np.ndarray) -> DiscreteOneForm:
     potential = np.asarray(potential)
     values = potential[s.edge_rows[:, 1]] - potential[s.edge_rows[:, 0]]
     return DiscreteOneForm(s, values.astype(float))
-
-
-def _side_signs(s: PLSurface) -> np.ndarray:
-    """+1 where half-edge 3t+i runs along its edge's orientation, else -1."""
-    return np.where(s.triangles < s.triangles[:, [1, 2, 0]], 1.0, -1.0).ravel()
 
 
 @dataclass
@@ -124,6 +117,20 @@ def total_moment(g: MeasuredReebGraph) -> float:
     return float(math.fsum(edge_moment(g, e) for e in g.edges))
 
 
+def _finite_moments(g: MeasuredReebGraph) -> dict[int, float]:
+    """Field moment of each solid edge, by id.  Circulation tolerances are
+    relative to total_mass * (hi - lo), so a DataError is raised when that
+    scale or a moment is not finite."""
+    lo, hi = g.f_range()
+    if not math.isfinite(g.total_mass * (hi - lo)):
+        raise DataError(f"total mass {g.total_mass!r} times field range {hi - lo!r} is not finite")
+    moments = {e.id: edge_moment(g, e) for e in g.solid_edges()}
+    for eid, moment in moments.items():
+        if not math.isfinite(moment):
+            raise DataError(f"field moment of edge {eid} is not finite")
+    return moments
+
+
 def _solid_only_stars(g: MeasuredReebGraph) -> dict[int, tuple[list[ReebEdge], list[ReebEdge]]]:
     """(in-edges, out-edges) of each vertex that touches no dashed edge, in
     vertex order, with edges in graph order."""
@@ -144,6 +151,7 @@ def check_circulation(
     solids = g.solid_edges()
     if sorted(c.limits) != sorted(e.id for e in solids):
         raise InvalidGraph("circulation data must cover exactly the solid edges")
+    moments = _finite_moments(g)
     check_tolerances(tol=tol)
     if tol is None:
         lo, hi = g.f_range()
@@ -151,7 +159,7 @@ def check_circulation(
     nl = {}
     for e in solids:
         t, h = c.limits[e.id]
-        nl[e.id] = (h - t) - edge_moment(g, e)
+        nl[e.id] = (h - t) - moments[e.id]
     kirchhoff = {
         vid: math.fsum(c.limits[e.id][1] for e in ins) - math.fsum(c.limits[e.id][0] for e in outs)
         for vid, (ins, outs) in _solid_only_stars(g).items()
@@ -176,7 +184,7 @@ def solve_circulations(g: MeasuredReebGraph) -> CirculationSolveResult:
     leftover must vanish.
     """
     solids = sorted(g.solid_edges(), key=lambda e: e.id)
-    moments = {e.id: edge_moment(g, e) for e in solids}
+    moments = _finite_moments(g)
     lo, hi = g.f_range()
 
     if not g.dashed_edges():
@@ -219,7 +227,7 @@ def solve_circulations(g: MeasuredReebGraph) -> CirculationSolveResult:
 
 def vorticity(s: PLSurface, a: DiscreteOneForm) -> np.ndarray:
     """Per-triangle curl: boundary circulation divided by the area weight."""
-    sides = (_side_signs(s) * a.values[s.edge_of]).reshape(-1, 3)
+    sides = (side_signs(s) * a.values[s.edge_of]).reshape(-1, 3)
     return (sides[:, 0] + sides[:, 1] + sides[:, 2]) / s.areas
 
 
@@ -577,50 +585,6 @@ def augment(s: PLSurface, a: DiscreteOneForm, g: MeasuredReebGraph) -> Augmented
 # -- synthesis -------------------------------------------------------------------------
 
 
-def kkt_system(
-    s: PLSurface, m: np.ndarray, con_rows: list[dict[int, float]], con_rhs: list[float]
-) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-    """The KKT matrix and right-hand side of the least-squares curl D x = m
-    under the exact constraint rows ``con_rows`` x = ``con_rhs``, where row t
-    of D holds the side signs of triangle t.
-
-    D^T D is summed from the 9 signed side products of each triangle (all
-    +-1, so the sums are exact in any order) and gets a tiny ridge on its
-    diagonal; one COO -> CSC construction places it beside the constraint
-    entries, which keep any explicit zero weight.  The arrays are those of
-    the sparse products and block stacks ``D.T @ D + ridge * I``, ``C``,
-    ``C.T`` once their indices are sorted, so the solve sees the same system.
-    """
-    import scipy.sparse
-
-    ne, signs = len(s.edge_rows), _side_signs(s)
-    sides, tri_signs = s.edge_of.reshape(-1, 3), signs.reshape(-1, 3)
-    gram = scipy.sparse.csc_matrix(
-        (
-            (tri_signs[:, :, None] * tri_signs[:, None, :]).ravel(),
-            (np.repeat(sides, 3, axis=1).ravel(), np.tile(sides, 3).ravel()),
-        ),
-        shape=(ne, ne),
-    )
-    gram.eliminate_zeros()
-    gram = gram.tocoo()
-    ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))) if len(m) else 1.0)
-    gram.data[gram.row == gram.col] += ridge
-    nc = len(con_rows)
-    ci = np.repeat(np.arange(ne, ne + nc), [len(coeffs) for coeffs in con_rows])
-    cj = np.array([k for coeffs in con_rows for k in sorted(coeffs)], dtype=np.int64)
-    cx = np.array([coeffs[k] for coeffs in con_rows for k in sorted(coeffs)], dtype=float)
-    kkt = scipy.sparse.csc_matrix(
-        (
-            np.concatenate((gram.data, cx, cx)),
-            (np.concatenate((gram.row, ci, cj)), np.concatenate((gram.col, cj, ci))),
-        ),
-        shape=(ne + nc, ne + nc),
-    )
-    curl = np.bincount(s.edge_of, weights=signs * np.repeat(m, 3), minlength=ne)
-    return kkt, np.concatenate((curl, np.asarray(con_rhs, dtype=float)))
-
-
 def synthesize_form(
     s: PLSurface,
     g: MeasuredReebGraph,
@@ -630,14 +594,16 @@ def synthesize_form(
     """One-form whose vorticity tracks the field and whose circulation and
     dashed-cycle data reproduce the targets.
 
-    A single minimal-norm least-squares solve combines per-triangle curl
-    constraints with strongly weighted circulation and cycle constraints;
-    the curl targets and the profile-quadrature moments differ at
-    discretization order, so the probe constraints get priority and the
-    vorticity absorbs the residual.
+    The probe-circle and lifted-cycle integrals are exact constraints and
+    the per-triangle curl is fitted to the field in least squares: the curl
+    targets and the profile-quadrature moments differ at discretization
+    order, so the constraints get priority and the vorticity absorbs the
+    residual.  ``dual_tree_solve`` finds the form on the dual spanning tree,
+    in the gauge where it vanishes off the tree except on the generator
+    edges, which carry the generator weights; it is not the minimum-norm
+    form.
     """
-    import scipy.sparse.linalg
-
+    _finite_moments(g)
     ctx = ensure_context(s, g)
     lo, hi = g.f_range()
     scale = max(1.0, g.total_mass * max(1.0, hi - lo))
@@ -654,8 +620,6 @@ def synthesize_form(
         tm = total_moment(g)
         if abs(tm) > 1e-9 * scale:
             raise InfeasibleTarget(f"closed graph with nonzero total moment {tm:g}")
-
-    ne = len(s.edge_rows)
 
     # curl targets; on closed surfaces spread the quadrature defect uniformly
     tri_f = s.f[s.triangles]
@@ -680,9 +644,7 @@ def synthesize_form(
             con_rows.append(_lifted_cycle_coeffs(s, g, lifted, cycle))
             con_rhs.append(float(coord))
 
-    kkt, rhs_full = kkt_system(s, m, con_rows, con_rhs)
-    x_full = scipy.sparse.linalg.spsolve(kkt, rhs_full)
-    form = DiscreteOneForm(s, x_full[:ne])
+    form = DiscreteOneForm(s, dual_tree_solve(s, m, con_rows, con_rhs))
 
     # verify the prioritized constraints were met, reading each tail limit
     # back from its row as augment() would

@@ -1,12 +1,10 @@
-import importlib.util
 import math
-import sys
-import typing
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import reeb_orbit as ro
 from reeb_orbit import linalg
@@ -470,10 +468,10 @@ def test_synthesis_lifts_the_dashed_graph_once(monkeypatch):
 
 
 def _wrong_solution(monkeypatch):
-    # synthesize_form looks spsolve up on the module at call time
-    import scipy.sparse.linalg
+    # synthesize_form looks dual_tree_solve up on the module at call time
+    from reeb_orbit import circulation
 
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda kkt, rhs: np.zeros(len(rhs)))
+    monkeypatch.setattr(circulation, "dual_tree_solve", lambda s, *args: np.zeros(len(s.edge_rows)))
 
 
 def test_synthesis_check_catches_a_missed_circulation(monkeypatch, torus_with_hole):
@@ -492,14 +490,54 @@ def test_synthesis_check_catches_a_missed_cycle_coordinate(monkeypatch, annulus)
         synthesize_form(annulus, g, CirculationFunction({}), XiClass(dashed_cycle_basis(g), [1.0]))
 
 
-def reference_kkt(s, m, con_rows, con_rhs):
-    """The KKT system by sparse products and block stacks: D^T D + ridge I,
-    with D the triangle-by-edge side-sign matrix, beside the constraint rows."""
-    from reeb_orbit import circulation
+def test_synthesis_refuses_an_overflowing_scale(torus_with_hole):
+    # the post-solve check is relative to total mass times the field range
+    from reeb_orbit import serialize
 
-    ne, nt = len(s.edge_rows), len(s.triangles)
+    g = ro.extract_reeb(torus_with_hole, samples=16)
+    doc = serialize.graph_to_dict(g)
+    top = max(abs(v["f"]) for v in doc["vertices"])
+    for v in doc["vertices"]:
+        v["f"] *= 1e308 / top
+    big = serialize.graph_from_dict(doc)
+    with pytest.raises(ro.DataError, match="times field range .* is not finite"):
+        synthesize_form(torus_with_hole, big, *_zero_targets(g))
+
+
+@pytest.mark.parametrize("case", ["annulus", "closed_torus"])
+def test_dual_tree_peel_inverts_the_curl_and_path_sums_are_its_adjoint(request, case):
+    from reeb_orbit.dualtree import dual_tree
+
+    if case == "closed_torus":
+        surf = ro.realize(request.getfixturevalue(case), resolution=6).surface
+    else:
+        surf = request.getfixturevalue(case)
+    tree = dual_tree(surf)
+    ne, nt = len(surf.edge_rows), len(surf.triangles)
+    closed = not surf.boundary_polygons
+    # one tree edge per triangle but the root, each edge once
+    assert len(tree.node) == nt - closed and len(set(tree.edge.tolist())) == len(tree.edge)
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=nt)
+    if closed:
+        y -= y.mean()
+    x = tree.peel(y, ne)
+    assert np.max(np.abs(vorticity(surf, DiscreteOneForm(surf, x)) * surf.areas - y)) <= 1e-12
+    assert not np.delete(x, tree.edge).any()
+    w = rng.normal(size=(2, ne))
+    a = tree.path_sums(w, nt)
+    assert np.max(np.abs(a @ y - w @ x)) <= 1e-12 * np.max(np.abs(w @ x))
+
+
+def reference_kkt_solution(s, m, con_rows, con_rhs):
+    """The cochain of the KKT system of min |D x - m|^2 + ridge |x|^2 subject to
+    the constraint rows, by sparse products, block stacks and SuperLU; D is the
+    triangle-by-edge side-sign matrix."""
+    from reeb_orbit.dualtree import side_signs
+
+    ne, nt, nc = len(s.edge_rows), len(s.triangles), len(con_rows)
     D = scipy.sparse.csr_matrix(
-        (circulation._side_signs(s), (np.repeat(np.arange(nt), 3), s.edge_of)), shape=(nt, ne)
+        (side_signs(s), (np.repeat(np.arange(nt), 3), s.edge_of)), shape=(nt, ne)
     )
     ci, cj, cx = [], [], []
     for r, coeffs in enumerate(con_rows):
@@ -507,18 +545,19 @@ def reference_kkt(s, m, con_rows, con_rhs):
             ci.append(r)
             cj.append(k)
             cx.append(w)
-    nc = len(con_rows)
     C = scipy.sparse.csr_matrix((cx, (ci, cj)), shape=(nc, ne))
-    ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))) if len(m) else 1.0)
-    top = scipy.sparse.hstack([D.T @ D + ridge * scipy.sparse.identity(ne), C.T])
-    if not nc:
-        return top.tocsc(), D.T @ m
-    bottom = scipy.sparse.hstack([C, scipy.sparse.csr_matrix((nc, nc))])
-    return scipy.sparse.vstack([top, bottom]).tocsc(), np.concatenate([D.T @ m, np.array(con_rhs)])
+    ridge = 1e-10 * max(1.0, float(np.max(np.abs(m))))
+    kkt = scipy.sparse.vstack([
+        scipy.sparse.hstack([D.T @ D + ridge * scipy.sparse.identity(ne), C.T]),
+        scipy.sparse.hstack([C, scipy.sparse.csr_matrix((nc, nc))]),
+    ]).tocsc()
+    return scipy.sparse.linalg.spsolve(kkt, np.concatenate([D.T @ m, np.array(con_rhs)]))[:ne], D
 
 
 @pytest.mark.parametrize("case", ["disk", "annulus", "torus_with_hole", "closed_torus"])
-def test_kkt_assembly_matches_the_block_products(monkeypatch, request, case):
+def test_dual_tree_solve_matches_the_kkt_solution(monkeypatch, request, case):
+    # the tree solve meets every constraint row and gives the curl of the
+    # ridge-regularized KKT solution, up to the ridge
     from reeb_orbit import circulation
 
     if case == "closed_torus":
@@ -527,25 +566,23 @@ def test_kkt_assembly_matches_the_block_products(monkeypatch, request, case):
         surf = request.getfixturevalue(case)
     g = ro.extract_reeb(surf, samples=16)
     seen = []
-    original = circulation.kkt_system
-    monkeypatch.setattr(circulation, "kkt_system", lambda *args: seen.append(args) or original(*args))
-    synthesize_form(surf, g, *_zero_targets(g))
+    original = circulation.dual_tree_solve
+    monkeypatch.setattr(circulation, "dual_tree_solve", lambda *args: seen.append(args) or original(*args))
+    basis = dashed_cycle_basis(g)
+    coords = np.linspace(-1.5, 2.0, len(basis))
+    form = synthesize_form(surf, g, solve_circulations(g).particular, XiClass(basis, coords))
     ((s, m, rows, rhs),) = seen
-    ne = len(s.edge_rows)
-    systems = [(rows, rhs), ([], []), (rows + [{0: 0.0, ne // 2: 1.0, ne - 1: -0.5}], rhs + [0.25])]
-    for con_rows, con_rhs in systems:
-        kkt, b = original(s, m, con_rows, con_rhs)
-        want, want_b = reference_kkt(s, m, con_rows, con_rhs)
-        # spsolve sorts the indices of each column before it solves; the
-        # stacks leave them unsorted when there is no constraint row
-        want.sum_duplicates()
-        assert kkt.format == "csc" and kkt.has_canonical_format
-        assert np.array_equal(kkt.indptr, want.indptr)
-        assert np.array_equal(kkt.indices, want.indices)
-        assert kkt.data.tobytes() == want.data.tobytes()
-        assert b.tobytes() == want_b.tobytes()
-    # the explicit zero weight stays a stored entry, as in the stacks
-    assert kkt.nnz == want.nnz == original(s, m, rows, rhs)[0].nnz + 6
+    assert np.max(np.abs(m)) > 0.0 and len(rows) == len(g.solid_edges()) + len(basis)
+    lo, hi = g.f_range()
+    scale = max(1.0, g.total_mass * max(1.0, hi - lo))
+    for coeffs, want in zip(rows, rhs):
+        got = math.fsum(w * form.values[k] for k, w in coeffs.items())
+        assert abs(got - want) <= 1e-12 * scale
+    reference, D = reference_kkt_solution(s, m, rows, rhs)
+    curl = vorticity(s, form) * s.areas
+    # the KKT curl moves from the minimizer in proportion to its ridge,
+    # 1e-10 * max(1, max|m|)
+    assert np.max(np.abs(curl - D @ reference)) <= 1e-8 * max(1.0, np.max(np.abs(m)))
 
 
 # -- graph-side kernels against their rational and per-point references ---------------
@@ -637,19 +674,6 @@ def test_particular_solution_calls_no_least_squares(monkeypatch):
             assert check_circulation(g, res.particular, tol=1e-12 * scale).ok
             solved += 1
     assert solved > 150
-
-
-def test_kkt_system_annotation_resolves_for_type_checkers(monkeypatch):
-    # a type checker reads the module with TYPE_CHECKING true, and its imports
-    # must bind every name the annotations use
-    monkeypatch.setattr(typing, "TYPE_CHECKING", True)
-    name = "reeb_orbit._type_checked_circulation"
-    spec = importlib.util.spec_from_file_location(name, ro.circulation.__file__)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    hints = typing.get_type_hints(module.kkt_system)
-    assert hints["return"] == tuple[scipy.sparse.csc_matrix, np.ndarray]
 
 
 def test_partial_moment_matches_per_point_reference():

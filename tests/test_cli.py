@@ -387,6 +387,33 @@ def test_minus_inf_vertex_value_exits_2(capsys, tmp_path):
     _assert_solve_refuses(capsys, tmp_path, edit)
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        # max |f| = 1e308, so total mass times the field range overflows
+        (lambda f: f * 2e307, "total mass 6.3 times field range 1e+308 is not finite"),
+        # a range of 5e305 near 1e308: the scale is finite, the moments are not
+        (lambda f: 1e308 - (5.0 - f) * 1e305, "field moment of edge 1 is not finite"),
+    ],
+    ids=["range", "moment"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_circulation_with_an_overflowing_scale_exits_2(capsys, tmp_path, field, message):
+    # at max |f| = 1e308 the solve wrote -Infinity and NaN, and the check's
+    # tolerance overflowed to inf and accepted any limits
+    def edit(doc):
+        for v in doc["vertices"]:
+            v["f"] = field(v["f"])
+
+    graph = str(_edited_copy(tmp_path, "fig2.json", edit))
+    limits = tmp_path / "limits.json"
+    limits.write_text(json.dumps({"circulation": {k: [12345.0, -6789.0] for k in ("1", "2", "3", "6")}}))
+    for argv in (["circulation", "solve", graph], ["circulation", "check", graph, str(limits)]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": "DataError", "message": message}
+
+
 def test_one_coordinate_xy_exits_2(capsys, tmp_path):
     def edit(doc):
         doc["vertices"][0]["xy"] = [0.0]
@@ -615,9 +642,19 @@ def test_pinched_vertex_exits_2(capsys, tmp_path):
 
 
 # runs each command line of argv[1] through cli.main, then reports the exit
-# codes and the scipy modules the process imported
+# codes and the scipy modules the process imported; with argv[2] set, every
+# import of scipy fails first
 _COMMANDS_CHILD = """
-import contextlib, io, json, sys
+import contextlib, importlib.abc, io, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[2:]:
+    sys.meta_path.insert(0, NoScipy())
 from reeb_orbit import cli
 
 codes = []
@@ -629,51 +666,65 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def _run_commands_in_child(commands):
+def _run_commands_in_child(commands, *block):
     src = str(Path(ro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", _COMMANDS_CHILD, json.dumps(commands)],
+        [sys.executable, "-c", _COMMANDS_CHILD, json.dumps(commands), *block],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads(done.stdout)
 
 
-def test_only_synthesize_imports_scipy(capsys, tmp_path):
-    # the sparse KKT solve of synthesis is scipy's only use, so every other
-    # command runs in a process that never imports it
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory):
+    """One command line per CLI command, on a realized fig2 mesh and its
+    extracted graph, with the exit code of each."""
     from reeb_orbit.circulation import dashed_cycle_basis, exact_form
 
+    tmp_path = tmp_path_factory.mktemp("commands")
     disk, fig2, fig4a, fig4b = (str(DATA / f"{name}.json") for name in ("disk_linear", "fig2", "fig4a", "fig4b"))
     mesh, graph, form, circ, targets = (str(tmp_path / f"{name}.json") for name in ("mesh", "graph", "form", "circ", "targets"))
     s = ro.realize(serialize.load_graph(Path(fig2).read_bytes()), resolution=4).surface
     Path(mesh).write_text(serialize.dumps(s.to_dict()))
-    assert run(capsys, "extract", mesh, "--samples", "8", "-o", graph)[0] == 0
+    g = ro.extract_reeb(s, samples=8)
+    Path(graph).write_text(serialize.dumps(serialize.graph_to_dict(g)))
     Path(form).write_text(serialize.dumps(serialize.oneform_to_dict(exact_form(s, s.f))))
-    particular = json.loads(run(capsys, "circulation", "solve", graph)[1])["particular"]
+    solved = ro.solve_circulations(g).particular.limits
+    particular = {str(eid): list(pair) for eid, pair in sorted(solved.items())}
     Path(circ).write_text(json.dumps({"circulation": particular}))
-    basis = [list(c) for c in dashed_cycle_basis(serialize.load_graph(Path(graph).read_bytes()))]
+    basis = [list(c) for c in dashed_cycle_basis(g)]
     Path(targets).write_text(json.dumps(
         {"circulation": particular, "xi": {"basis": basis, "coords": [0.0] * len(basis)}}
     ))
-    others = [
+    commands = [
         ["validate", disk],
         ["extract", disk, "--samples", "8"],
         ["invariants", fig2],
         ["compare", fig4a, fig4b],
         ["circulation", "solve", graph],
         ["circulation", "check", graph, circ],
+        ["synthesize", mesh, graph, targets],
         ["xi", mesh, form, graph],
         ["dot", fig2],
         ["realize", fig2, "--resolution", "4"],
         ["fuzz", "--cases", "1"],
     ]
-    assert _run_commands_in_child(others) == {"codes": [0, 0, 0, 1, 0, 0, 0, 0, 0, 0], "scipy": []}
-    # the check is not vacuous: synthesis does import the solver
-    synthesized = _run_commands_in_child([["synthesize", mesh, graph, targets]])
-    assert synthesized["codes"] == [0]
-    assert "scipy.sparse.linalg" in synthesized["scipy"]
+    return commands, [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def test_no_command_imports_scipy(every_command):
+    # synthesis solves on the dual spanning tree, so no command needs scipy
+    commands, codes = every_command
+    assert _run_commands_in_child(commands) == {"codes": codes, "scipy": []}
+
+
+def test_every_command_runs_with_scipy_blocked(every_command):
+    # scipy is a test dependency only: every command keeps its exit code in a
+    # process where importing it fails
+    commands, codes = every_command
+    assert _run_commands_in_child(commands, "block") == {"codes": codes, "scipy": []}
 
 
 def test_extract_payload_byte_identical(capsys):

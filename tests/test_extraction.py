@@ -23,6 +23,7 @@ from reeb_orbit import (
     validate_simple_morse,
 )
 from reeb_orbit import extraction, levels, realize
+from reeb_orbit.circulation import dashed_cycle_basis, solve_circulations
 from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.levels import (
     DSU,
@@ -795,28 +796,44 @@ def _run_in_child(commands, setting):
 def default_outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("kernels")
     g = random_measured_graph(20000)
+    s = realize(g, resolution=6).surface
     mesh, graph = tmp / "fuzz20000.json", tmp / "fuzz20000-graph.json"
-    mesh.write_text(dumps(realize(g, resolution=6).surface.to_dict()))
+    mesh.write_text(dumps(s.to_dict()))
     graph.write_text(dumps(graph_to_dict(g)))
     graphs = [DATA / f"{name}.json" for name in ("closed_torus", "fig2", "fig4a", "fig4b")] + [graph]
+    # synthesis targets on the mesh's own graph: the particular circulation
+    # and nonzero cycle coordinates
+    extracted = extract_reeb(s, samples=12)
+    own, targets, form = tmp / "fuzz20000-own.json", tmp / "fuzz20000-targets.json", tmp / "fuzz20000-form.json"
+    own.write_text(dumps(graph_to_dict(extracted)))
+    limits = solve_circulations(extracted).particular.limits
+    basis = dashed_cycle_basis(extracted)
+    targets.write_text(json.dumps({
+        "circulation": {str(eid): list(pair) for eid, pair in limits.items()},
+        "xi": {"basis": [list(c) for c in basis], "coords": [0.5 + i for i in range(len(basis))]},
+    }))
     commands = [
         ["extract", str(m), "--samples", k] for m in (DATA / "disk_linear.json", mesh) for k in ("12", "64")
-    ] + [["circulation", "solve", str(p)] for p in graphs]
+    ] + [["circulation", "solve", str(p)] for p in graphs] + [
+        ["synthesize", str(mesh), str(own), str(targets), "-o", str(form)],
+        ["xi", str(mesh), str(form), str(own)],
+    ]
     out, codes, loaded = _run_in_child(commands, {})
     assert codes == [0] * len(commands)
-    return commands, out, loaded
+    return commands, out + form.read_bytes(), loaded, form
 
 
 @pytest.mark.parametrize("setting", KERNEL_SETTINGS, ids=lambda setting: " ".join(setting.values()))
 def test_extract_bytes_do_not_depend_on_the_kernels(default_outputs, setting):
-    # profile sums take their order from the code and circulation solving
-    # peels a spanning forest in plain floats, so neither the OpenBLAS kernel
-    # nor numpy's SIMD dispatch may change a byte of `extract` or
-    # `circulation solve`; a setting the child's libraries ignored proves
-    # nothing and skips
-    commands, want, default = default_outputs
+    # profile sums take their order from the code, circulation solving peels
+    # a spanning forest and synthesis solves on the dual spanning tree in
+    # plain floats, so neither the OpenBLAS kernel nor numpy's SIMD dispatch
+    # may change a byte of `extract`, `circulation solve`, the form
+    # `synthesize` writes or `xi` on it; a setting the child's libraries
+    # ignored proves nothing and skips
+    commands, want, default, form = default_outputs
     got, codes, loaded = _run_in_child(commands, setting)
     if loaded == default:
         pytest.skip(f"{setting} changed neither the OpenBLAS core nor the CPU features: {default}")
     assert codes == [0] * len(commands)
-    assert got == want
+    assert got + form.read_bytes() == want
