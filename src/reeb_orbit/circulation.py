@@ -109,25 +109,27 @@ class CirculationSolveResult:
 
 def edge_moment(g: MeasuredReebGraph, edge: int | ReebEdge) -> float:
     """Field moment of one edge from its sampled profile."""
-    e = g.edge(edge) if isinstance(edge, int) else edge
-    return e.profile.moment()
+    return g.edge_moments[edge if isinstance(edge, int) else edge.id]
 
 
 def total_moment(g: MeasuredReebGraph) -> float:
-    return float(math.fsum(edge_moment(g, e) for e in g.edges))
+    return math.fsum(g.edge_moments.values())
 
 
 def _finite_moments(g: MeasuredReebGraph) -> dict[int, float]:
     """Field moment of each solid edge, by id.  Circulation tolerances are
     relative to total_mass * (hi - lo), so a DataError is raised when that
-    scale or a moment is not finite."""
+    scale, a moment or the sum of the moments' absolute values, which bounds
+    every sum of moments that solving, checking and synthesis form, is not finite."""
     lo, hi = g.f_range()
     if not math.isfinite(g.total_mass * (hi - lo)):
         raise DataError(f"total mass {g.total_mass!r} times field range {hi - lo!r} is not finite")
-    moments = {e.id: edge_moment(g, e) for e in g.solid_edges()}
+    moments = {e.id: g.edge_moments[e.id] for e in g.solid_edges()}
     for eid, moment in moments.items():
         if not math.isfinite(moment):
             raise DataError(f"field moment of edge {eid} is not finite")
+    if not math.isfinite(sum(map(abs, moments.values()))):
+        raise DataError("sum of the solid edges' absolute field moments is not finite")
     return moments
 
 

@@ -89,7 +89,7 @@ def _resampled_gap(e1, e2) -> float:
         u1, u2 = np.linspace(0.0, 1.0, len(c1)), np.linspace(0.0, 1.0, len(c2))
         grid = np.union1d(u1, u2)
         c1, c2 = np.interp(grid, u1, c1), np.interp(grid, u2, c2)
-    return float(np.max(np.abs(c1 - c2)))
+    return float(abs(c1 - c2).max())
 
 
 def match_measured(

@@ -169,6 +169,11 @@ def _profiles(ctx: ExtractionContext, samples: int) -> list[MeasureProfile]:
     first_region = np.searchsorted(region_edge, np.arange(1, len(ctx.edge_members) + 1))
     last_band = np.maximum.reduceat(region_band, first_region)
     f_lo, f_hi = crit[region_band[first_region]], crit[last_band + 1]
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(f_hi - f_lo))
+    if wide.size:
+        j = wide[0]
+        raise DataError(f"edge {j + 1}: field range from {f_lo[j]} to {f_hi[j]} is not finite")
     grids = np.linspace(f_lo, f_hi, width, axis=1)
     band_lo, band_hi = crit[region_band, None], crit[region_band + 1, None]
     row_level = np.clip(grids[region_edge - 1], band_lo, band_hi).ravel()

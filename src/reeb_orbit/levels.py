@@ -41,6 +41,14 @@ class DSU:
             self.parent[rb] = ra
 
 
+def midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """0.5 * (a + b), and where a + b overflows the sum of the halves, which
+    is the same float wherever the halves are normal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (a + b)
+        return mid if np.isfinite(mid).all() else np.where(np.isfinite(mid), mid, 0.5 * a + 0.5 * b)
+
+
 def regular_values(cuts, values) -> np.ndarray:
     """For each interval (cuts[j], cuts[j + 1]), the midpoint of its first widest gap
     between its ends and the ascending ``values`` inside it, by one maximum.reduceat."""
@@ -55,7 +63,7 @@ def regular_values(cuts, values) -> np.ndarray:
     widest = np.maximum.reduceat(gaps, at[:-1])
     best = np.flatnonzero(gaps == np.repeat(widest, np.diff(at)))
     best = best[np.searchsorted(best, at[:-1])]
-    return 0.5 * (stops[best] + stops[best + 1])
+    return midpoints(stops[best], stops[best + 1])
 
 
 def pick_regular_value(lo: float, hi: float, values: np.ndarray) -> float:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 from .errors import DataError, InvalidGraph
-from .levels import DSU
+from .levels import midpoints
 
 VERTEX_TYPES = ("I", "II", "III", "IV", "V", "VI", "VII")
 AS_IN_TABLE = "as-in-table"
@@ -39,10 +40,6 @@ _INCIDENCE = {
     ("VII", AS_IN_TABLE): (0, 0, 0, 1),
     ("VII", F_REVERSED): (0, 0, 1, 0),
 }
-
-
-def _slab_moment(x: np.ndarray, c: np.ndarray) -> float:
-    return float(math.fsum((0.5 * (x[1:] + x[:-1]) * (c[1:] - c[:-1])).tolist()))
 
 
 @dataclass
@@ -74,12 +71,12 @@ class MeasureProfile:
             raise ValueError("moment interval outside the edge range")
         grid = self.grid()
         x = np.concatenate(([a], grid[(a < grid) & (grid < b)], [b]))
-        return _slab_moment(x, np.interp(x, grid, self.cumulative))
+        increments = np.diff(np.interp(x, grid, self.cumulative))
+        return math.fsum((midpoints(x[:-1], x[1:]) * increments).tolist())
 
     def moment(self) -> float:
-        """``partial_moment`` over the whole edge, whose stops are the grid
-        and whose interpolated values are the samples themselves."""
-        return _slab_moment(self.grid(), self.cumulative)
+        """``partial_moment`` over the whole edge."""
+        return ProfileTable([self]).moments()[0]
 
     def check(self) -> None:
         if len(self.cumulative) < 2:
@@ -93,6 +90,60 @@ class MeasureProfile:
             raise InvalidGraph("profile must start at zero")
         if np.any(np.diff(self.cumulative) <= 0.0):
             raise InvalidGraph("profile must be strictly increasing")
+
+
+def _fsum(terms: list[float]) -> float:
+    """math.fsum, or an infinity of the sign of the plain sum where it overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.copysign(math.inf, sum(terms))
+
+
+class ProfileTable:
+    """Profiles in order, their samples as one float array: profile i's are
+    the ``sizes[i]`` samples before ``ends[i]``.  Each kernel reads every
+    profile in O(1) numpy calls over the samples; the moments add one
+    ``math.fsum`` per profile."""
+
+    def __init__(self, profiles: list[MeasureProfile]) -> None:
+        cums = [p.cumulative for p in profiles]
+        self.lo = np.array([p.f_lo for p in profiles], dtype=float)
+        self.hi = np.array([p.f_hi for p in profiles], dtype=float)
+        self.sizes = np.fromiter(map(len, cums), np.intp, len(cums))
+        self.ends = self.sizes.cumsum()
+        self.samples = np.concatenate([np.empty(0), *cums])
+
+    def screen(self) -> np.ndarray:
+        """Per profile, whether ``MeasureProfile.check`` fails on it.  A step
+        is charged to its upper sample, and a first sample must be zero."""
+        flat, sizes = self.samples, self.sizes
+        bad = ~np.isfinite(flat)
+        bad[1:] |= flat[1:] <= flat[:-1]
+        first = (self.ends - sizes)[sizes > 0]
+        bad[first] = flat[first] != 0.0
+        flagged = (sizes < 2) | ~(self.lo < self.hi)
+        if first.size:
+            flagged[sizes > 0] |= np.logical_or.reduceat(bad, first)
+        return flagged
+
+    def moments(self) -> list[float]:
+        """Per profile, its slab midpoints times its slab increments, summed
+        by ``math.fsum``.  The grid is ``np.linspace``'s to the bit: sample i
+        of n + 1 at i * step + lo, step = (hi - lo) / n, or at i / n *
+        (hi - lo) + lo when the step is zero, and the last sample at hi."""
+        flat, sizes, ends = self.samples, self.sizes, self.ends
+        at = np.repeat(np.arange(len(sizes)), sizes)
+        i = np.arange(len(flat)) - (ends - sizes)[at]
+        n = np.maximum(sizes - 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.hi - self.lo
+            zero = span / n == 0.0
+            x = i / np.where(zero, n, 1)[at] * np.where(zero, span, span / n)[at] + self.lo[at]
+            x[ends[sizes > 0] - 1] = self.hi[sizes > 0]
+            terms = (midpoints(x[:-1], x[1:]) * (flat[1:] - flat[:-1])).tolist()
+        bounds = zip((ends - sizes).tolist(), ends.tolist())
+        return [_fsum(terms[a : max(a, b - 1)]) for a, b in bounds]
 
 
 @dataclass
@@ -164,6 +215,17 @@ class MeasuredReebGraph:
     def other_end(self, edge: ReebEdge, vid: int) -> int:
         return edge.head if edge.tail == vid else edge.tail
 
+    # -- profiles: edges and their profiles are not changed once the graph is used
+
+    @cached_property
+    def profile_table(self) -> ProfileTable:
+        return ProfileTable([e.profile for e in self.edges])
+
+    @cached_property
+    def edge_moments(self) -> dict[int, float]:
+        """Field moment of each edge, by id."""
+        return dict(zip([e.id for e in self.edges], self.profile_table.moments()))
+
     # -- validity ----------------------------------------------------------------
 
     def validate(self) -> None:
@@ -174,32 +236,41 @@ class MeasuredReebGraph:
             raise InvalidGraph("duplicate vertex ids")
         if len(self._edge_by_id) != len(self.edges):
             raise InvalidGraph("duplicate edge ids")
-        if any(e.id < 1 for e in self.edges):
+        if min(self._edge_by_id) < 1:
             raise InvalidGraph("edge ids must be positive (signed cycle encoding)")
         fvals = [v.f for v in self.vertices]
-        if not all(math.isfinite(f) for f in fvals):
+        if not all(map(math.isfinite, fvals)):
             raise DataError("vertex field values must be finite")
         if len(set(fvals)) != len(fvals):
             raise InvalidGraph("vertex field values must be pairwise distinct")
 
-        flagged = self._flag_profiles()
-        # (dashed_in, dashed_out, solid_in, solid_out) per vertex
-        incidence = {v.id: [0, 0, 0, 0] for v in self.vertices}
-        parts = DSU()
-        for e, suspect in zip(self.edges, flagged):
-            if e.tail not in self._vertex_by_id or e.head not in self._vertex_by_id:
+        f_of = {v.id: v.f for v in self.vertices}
+        # (dashed_in, dashed_out, solid_in, solid_out), dashed edge ids and
+        # neighbours per vertex
+        incidence = {vid: [0, 0, 0, 0] for vid in f_of}
+        dashed_at: dict[int, list[int]] = {vid: [] for vid in f_of}
+        nbrs: dict[int, list[int]] = {vid: [] for vid in f_of}
+        for e, suspect in zip(self.edges, self.profile_table.screen().tolist()):
+            tail, head, p = e.tail, e.head, e.profile
+            f_tail, f_head = f_of.get(tail), f_of.get(head)
+            if f_tail is None or f_head is None:
                 raise InvalidGraph(f"edge {e.id} references unknown vertex")
-            if not self.vertex(e.tail).f < self.vertex(e.head).f:
+            if not f_tail < f_head:
                 raise InvalidGraph(f"edge {e.id} not oriented towards increasing f")
-            if e.style not in ("solid", "dashed"):
+            dashed = e.style == "dashed"
+            if not dashed and e.style != "solid":
                 raise InvalidGraph(f"edge {e.id} has unknown style {e.style!r}")
             if suspect:
-                e.profile.check()
-            if e.profile.f_lo != self.vertex(e.tail).f or e.profile.f_hi != self.vertex(e.head).f:
+                p.check()
+            if p.f_lo != f_tail or p.f_hi != f_head:
                 raise InvalidGraph(f"edge {e.id} profile range mismatch")
-            incidence[e.head][0 if e.dashed else 2] += 1
-            incidence[e.tail][1 if e.dashed else 3] += 1
-            parts.union(e.tail, e.head)
+            incidence[head][0 if dashed else 2] += 1
+            incidence[tail][1 if dashed else 3] += 1
+            if dashed:
+                dashed_at[tail].append(e.id)
+                dashed_at[head].append(e.id)
+            nbrs[tail].append(head)
+            nbrs[head].append(tail)
 
         for v in self.vertices:
             if v.vtype not in VERTEX_TYPES:
@@ -216,33 +287,21 @@ class MeasuredReebGraph:
                 )
 
         for v in self.vertices:
-            if sum(incidence[v.id][:2]) >= 3:
+            if len(dashed_at[v.id]) >= 3:
                 order = self.cyclic_orders.get(v.id)
                 if order is None:
                     raise InvalidGraph(f"vertex {v.id} needs a cyclic order")
-                if sorted(order) != sorted(e.id for e in self.dashed_edges_at(v.id)):
+                if sorted(order) != sorted(dashed_at[v.id]):
                     raise InvalidGraph(f"vertex {v.id}: cyclic order is not a "
                                        "permutation of its dashed edges")
             elif v.id in self.cyclic_orders:
                 raise InvalidGraph(f"vertex {v.id} must not carry a cyclic order")
 
-        if len({parts.find(v.id) for v in self.vertices}) > 1:
+        seen, todo = {self.vertices[0].id}, [self.vertices[0].id]
+        while todo:
+            for w in nbrs[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) < len(f_of):
             raise InvalidGraph("graph is disconnected")
-
-    def _flag_profiles(self) -> list[bool]:
-        """Per edge, whether ``MeasureProfile.check`` may fail on its profile.
-
-        All samples are screened at once; a step is charged to its upper
-        sample, and the first sample of each profile must be zero instead.
-        """
-        cums = [e.profile.cumulative for e in self.edges]
-        sizes = np.array([len(c) for c in cums])
-        flat = np.concatenate(cums)
-        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-        bad = ~np.isfinite(flat)
-        bad[1:] |= np.diff(flat) <= 0.0
-        bad[starts] = flat[starts] != 0.0
-        bad_samples = np.bincount(np.repeat(np.arange(len(cums)), sizes), weights=bad,
-                                  minlength=len(cums))
-        return [n > 0 or len(c) < 2 or not e.profile.f_lo < e.profile.f_hi
-                for n, c, e in zip(bad_samples.tolist(), cums, self.edges)]

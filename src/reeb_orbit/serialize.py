@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import accumulate, chain
 from typing import Any
 
 import numpy as np
@@ -82,15 +83,19 @@ def graph_from_dict(doc: Any) -> MeasuredReebGraph:
     entries = doc.get("edges")
     eids, tails, heads, styles, samples = json_records(entries, GRAPH_EDGE, "edge")
     vf = {v.id: v.f for v in vertices}
+    # every edge's samples as one column; read edge by edge only to name a bad one
+    flat = json_column(list(chain.from_iterable(samples)), JSON_NUMBER)
+    stops = list(accumulate(map(len, samples), initial=0))
     edges = []
-    ends = zip(tails.tolist(), heads.tolist())
-    for eid, (tail, head), style, cum in zip(eids.tolist(), ends, styles, samples):
-        cum = json_column(cum, JSON_NUMBER)
-        if cum is None:
+    ends = zip(tails.tolist(), heads.tolist(), stops, stops[1:])
+    for eid, (tail, head, a, b), style, cum in zip(eids.tolist(), ends, styles, samples):
+        if flat is None and json_column(cum, JSON_NUMBER) is None:
             raise ParseError(f"edge {eid}: cumulative must be a list of JSON numbers")
         if tail not in vf or head not in vf:
             raise ParseError(f"edge {eid} references unknown vertex")
-        edges.append(ReebEdge(eid, tail, head, style, MeasureProfile(vf[tail], vf[head], cum)))
+        # without the column some edge fails the check above, so `cum` is never kept
+        profile = MeasureProfile(vf[tail], vf[head], cum if flat is None else flat[a:b])
+        edges.append(ReebEdge(eid, tail, head, style, profile))
     stated = [i for i, entry in enumerate(entries) if "mass" in entry]
     (masses,) = json_records([entries[i] for i in stated], {"mass": JSON_NUMBER}, "edge")
     for edge, mass in zip([edges[i] for i in stated], masses.tolist()):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import scipy.sparse.linalg
 
 import reeb_orbit as ro
@@ -27,7 +29,8 @@ from reeb_orbit.circulation import (
 )
 from reeb_orbit.fixtures import closed_torus_graph, fig2_graph, fig4a_graph, fig4b_graph
 from reeb_orbit.fuzz import random_measured_graph
-from reeb_orbit.reebgraph import MeasureProfile, ReebEdge, ReebVertex, MeasuredReebGraph
+from reeb_orbit.reebgraph import MeasureProfile, MeasuredReebGraph, ProfileTable, ReebEdge, ReebVertex
+from reeb_orbit.serialize import dumps, graph_to_dict, load_graph
 
 
 def uniform_edge(lo, hi, mass, samples=16):
@@ -692,6 +695,75 @@ def test_partial_moment_matches_per_point_reference():
                 (float(grid[1]), float(grid[1])),
             ):
                 assert p.partial_moment(a, b) == reference_partial_moment(p, a, b)
+
+
+
+def linspace_moment(p):
+    """The per-edge moment the profile table replaced: slab midpoints on the
+    edge's own ``np.linspace`` grid times the slab increments."""
+    x = np.linspace(p.f_lo, p.f_hi, len(p.cumulative))
+    with np.errstate(invalid="ignore"):
+        return math.fsum((0.5 * (x[1:] + x[:-1]) * np.diff(p.cumulative)).tolist())
+
+
+@st.composite
+def table_profiles(draw):
+    """A profile of 0 to 9 samples, valid or not: a range that may be
+    subnormal (a zero linspace step), empty or decreasing, and a non-finite
+    or out-of-order value at the first, the last or an interior sample."""
+    n = draw(st.integers(0, 9))
+    lo = draw(st.sampled_from([0.0, 5e-324, -3.25]) | st.floats(-1e6, 1e6))
+    span = draw(st.sampled_from([5e-324, 1.5e-323, 0.0, -1.0]) | st.floats(1e-6, 1e6))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    cum = np.concatenate(([0.0], np.cumsum(steps)))[:n]
+    if n and draw(st.booleans()):
+        at = draw(st.sampled_from([0, n - 1, n // 2]))  # n // 2 is interior from n = 3
+        cum[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0]))
+    return MeasureProfile(lo, lo + span, cum)
+
+
+def _verdict(p):
+    try:
+        p.check()
+    except ro.ReebOrbitError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(table_profiles(), min_size=1, max_size=6))
+def test_profile_table_kernels_match_the_per_profile_references(profiles):
+    table = ProfileTable(profiles)
+    assert table.screen().tolist() == [_verdict(p) for p in profiles]
+    want = []
+    for p in profiles:
+        try:
+            want.append(linspace_moment(p) if len(p.cumulative) > 1 else 0.0)
+        except ValueError:  # inf - inf in math.fsum, for the table as for one profile
+            with pytest.raises(ValueError):
+                table.moments()
+            return
+    got = table.moments()
+    assert [m.hex() for m in got] == [m.hex() for m in want]
+    for p, moment in zip(profiles, got):
+        grid = p.grid()
+        # reference_partial_moment interpolates at distinct stops, so it is
+        # the moment only where the grid ascends strictly: a zero step repeats
+        # grid points
+        if len(grid) > 1 and np.all(np.diff(grid) > 0) and np.isfinite(p.cumulative).all():
+            assert moment == reference_partial_moment(p, p.f_lo, p.f_hi)
+
+
+def test_built_and_loaded_graphs_share_their_profile_tables(torus_with_hole):
+    graphs = [ro.extract_reeb(torus_with_hole, 16),
+              ro.extract_reeb(ro.realize(fig4a_graph(), resolution=6).surface, 8)]
+    graphs += [random_measured_graph(seed, max_events=12, samples=s)
+               for seed, s in ((3, 4), (8, 16), (21, 32))]
+    for g in graphs:
+        back = load_graph(dumps(graph_to_dict(g)))
+        assert back.edge_moments == g.edge_moments
+        assert [e.id for e in back.edges] == list(g.edge_moments)
+        assert back.profile_table.screen().tolist() == g.profile_table.screen().tolist()
 
 
 def _level_shifted(g, d):

@@ -392,10 +392,15 @@ def test_minus_inf_vertex_value_exits_2(capsys, tmp_path):
     [
         # max |f| = 1e308, so total mass times the field range overflows
         (lambda f: f * 2e307, "total mass 6.3 times field range 1e+308 is not finite"),
-        # a range of 5e305 near 1e308: the scale is finite, the moments are not
-        (lambda f: 1e308 - (5.0 - f) * 1e305, "field moment of edge 1 is not finite"),
+        # a range of 5e305 near 1.79e308: the scale is finite, edge 1's mass of
+        # 1.1 times its field values is not
+        (lambda f: 1.79e308 - (5.0 - f) * 1e305, "field moment of edge 1 is not finite"),
+        # near 1e308 every moment is finite, edge 1's is about 1.1e308, but
+        # their sum, which bounds the solve's node sums, is not
+        (lambda f: 1e308 - (5.0 - f) * 1e305,
+         "sum of the solid edges' absolute field moments is not finite"),
     ],
-    ids=["range", "moment"],
+    ids=["range", "moment", "moment-sum"],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_circulation_with_an_overflowing_scale_exits_2(capsys, tmp_path, field, message):
@@ -412,6 +417,28 @@ def test_circulation_with_an_overflowing_scale_exits_2(capsys, tmp_path, field, 
         code, out, _ = run(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": "DataError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "top, message",
+    [
+        # the band midpoint overflowed to inf and extraction raised KeyError
+        (1e308, "edge 1: field range from -1e+308 to 1e+308 is not finite"),
+        # the range is finite, the clipped triangle areas are not
+        (1e300, "profile samples must be finite"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_extract_with_an_overflowing_field_exits_2(capsys, tmp_path, top, message):
+    def edit(doc):
+        scale = max(abs(v["f"]) for v in doc["vertices"])
+        for v in doc["vertices"]:
+            v["f"] = v["f"] / scale * top
+
+    code, out, _ = run(capsys, "extract", str(_edited_copy(tmp_path, "disk_linear.json", edit)))
+    assert code == 2
+    assert json.loads(out) == {"error": "DataError", "message": message}
 
 
 def test_one_coordinate_xy_exits_2(capsys, tmp_path):

@@ -242,6 +242,15 @@ def _short_profile(n):
     return mutate
 
 
+def _resample(rng, vertices, edges, orders):
+    # a valid profile of another length, so that the graph's profiles differ
+    # in length and the screen must find each edge's samples in the table
+    p = edges[rng.randrange(len(edges))].profile
+    if len(p.cumulative) >= 2:
+        old, new = np.linspace(0.0, 1.0, len(p.cumulative)), np.linspace(0.0, 1.0, rng.randrange(2, 14))
+        p.cumulative = np.interp(new, old, p.cumulative)
+
+
 def _restyle(rng, vertices, edges, orders):
     e = edges[rng.randrange(len(edges))]
     e.style = rng.choice(["solid", "dashed", "dotted"])
@@ -287,6 +296,7 @@ MUTATIONS = [
     _set_sample(lambda c: 0.5 * c[1], lambda rng, n: 0),  # nonzero start
     _short_profile(1),
     _short_profile(0),
+    _resample,
     _restyle,
     _retype,
     _reorder,
