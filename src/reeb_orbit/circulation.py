@@ -24,7 +24,7 @@ from .dualtree import dual_tree_solve, side_signs
 from .errors import DataError, InfeasibleTarget, InvalidGraph, LevelOnVertex, check_tolerances
 from .extraction import ExtractionContext, ensure_context
 from .levels import DSU, LevelComponent, crossing_param, level_tables, trace_level
-from .reebgraph import MeasuredReebGraph, ReebEdge
+from .reebgraph import MeasuredReebGraph, ReebEdge, fsum_or_inf
 from .surface import EdgeKey, PLSurface, edge_key
 
 # -- data types --------------------------------------------------------------------
@@ -149,7 +149,8 @@ def _solid_only_stars(g: MeasuredReebGraph) -> dict[int, tuple[list[ReebEdge], l
 def check_circulation(
     g: MeasuredReebGraph, c: CirculationFunction, tol: Optional[float] = None
 ) -> CirculationCheck:
-    """Newton-Leibniz and Kirchhoff residuals of circulation data."""
+    """Newton-Leibniz and Kirchhoff residuals of circulation data; a DataError
+    when one is beyond double range."""
     solids = g.solid_edges()
     if sorted(c.limits) != sorted(e.id for e in solids):
         raise InvalidGraph("circulation data must cover exactly the solid edges")
@@ -163,9 +164,13 @@ def check_circulation(
         t, h = c.limits[e.id]
         nl[e.id] = (h - t) - moments[e.id]
     kirchhoff = {
-        vid: math.fsum(c.limits[e.id][1] for e in ins) - math.fsum(c.limits[e.id][0] for e in outs)
+        vid: fsum_or_inf([c.limits[e.id][1] for e in ins]) - fsum_or_inf([c.limits[e.id][0] for e in outs])
         for vid, (ins, outs) in _solid_only_stars(g).items()
     }
+    for what, found in (("Newton-Leibniz residual of edge", nl), ("Kirchhoff residual at vertex", kirchhoff)):
+        for key, r in found.items():
+            if not math.isfinite(r):
+                raise DataError(f"{what} {key} is not finite")
     residuals = list(nl.values()) + list(kirchhoff.values())
     max_res = max((abs(r) for r in residuals), default=0.0)
     return CirculationCheck(max_res <= tol, nl, kirchhoff, max_res)

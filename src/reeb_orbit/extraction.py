@@ -31,24 +31,23 @@ from .levels import (
 from .reebgraph import (
     AS_IN_TABLE,
     F_REVERSED,
+    VERTEX_TYPES,
     MeasuredReebGraph,
     MeasureProfile,
     ReebEdge,
     ReebVertex,
+    transition,
 )
 from .surface import EdgeKey, PLSurface, validate_simple_morse
 
 # -- vertex type lookup ---------------------------------------------------------
 
-# (circles below, segments below, circles above, segments above) as in the table
-_TRANSITIONS = {
-    "I": (0, 0, 0, 1),
-    "II": (0, 2, 0, 1),
-    "III": (0, 1, 1, 0),
-    "IV": (0, 2, 0, 2),
-    "V": (1, 1, 0, 1),
-    "VI": (2, 0, 1, 0),
-    "VII": (0, 0, 1, 0),
+# (circles below, segments below, circles above, segments above) to (type,
+# orientation); as-in-table comes last, so it wins where a type is its own mirror
+_KIND_OF = {
+    transition(vtype, orientation): (vtype, orientation)
+    for orientation in (F_REVERSED, AS_IN_TABLE)
+    for vtype in VERTEX_TYPES
 }
 
 
@@ -60,15 +59,10 @@ def classify_level_transition(
     Returns (vtype, orientation); orientation is ``f-reversed`` when only the
     mirrored transition matches.  Type IV is self-mirrored.
     """
-    key = (below[0], below[1], above[0], above[1])
-    mirror = (above[0], above[1], below[0], below[1])
-    for vtype, pattern in _TRANSITIONS.items():
-        if key == pattern:
-            return vtype, AS_IN_TABLE
-    for vtype, pattern in _TRANSITIONS.items():
-        if mirror == pattern:
-            return vtype, F_REVERSED
-    raise UnclassifiableTransition(f"below={below}, above={above}")
+    kind = _KIND_OF.get((*below, *above))
+    if kind is None:
+        raise UnclassifiableTransition(f"below={below}, above={above}")
+    return kind
 
 
 # -- extraction context ---------------------------------------------------------

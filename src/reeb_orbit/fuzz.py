@@ -3,7 +3,8 @@
 Graphs are generated by simulating a sweep: a pool of active level families
 (circles and segments) changes through randomly chosen birth, merge, split,
 reconnection, and death events, each event becoming a vertex of the matching
-type.  The construction guarantees every structural invariant by design and
+type; the vertex's transition (``reebgraph.transition``) says which families
+the event consumes and which it produces.  The construction guarantees every structural invariant by design and
 keeps the graph connected by steering merges across components while
 draining the pool.
 """
@@ -25,6 +26,7 @@ from .reebgraph import (
     MeasureProfile,
     ReebEdge,
     ReebVertex,
+    transition,
 )
 from .surface import PLSurface
 
@@ -34,6 +36,35 @@ class _Strand:
     sid: int
     style: str  # "solid" | "dashed"
     birth_event: int
+
+
+# sweep events and the vertex each one becomes
+_EVENTS = {
+    "birth_circle": ("VII", AS_IN_TABLE),
+    "birth_segment": ("I", AS_IN_TABLE),
+    "close_circle": ("VII", F_REVERSED),
+    "close_segment": ("I", F_REVERSED),
+    "split_circle": ("VI", F_REVERSED),
+    "merge_circles": ("VI", AS_IN_TABLE),
+    "seg_to_circle": ("III", AS_IN_TABLE),
+    "circle_to_seg": ("III", F_REVERSED),
+    "merge_circle_seg": ("V", AS_IN_TABLE),
+    "split_seg_circle": ("V", F_REVERSED),
+    "merge_segs": ("II", AS_IN_TABLE),
+    "split_seg": ("II", F_REVERSED),
+    "reconnect": ("IV", AS_IN_TABLE),
+}
+# (event, weight) in the order they are offered while the sweep grows the
+# pool and while it drains it
+_GROW = [
+    ("birth_circle", 1.5), ("birth_segment", 2.0), ("split_circle", 2.0), ("circle_to_seg", 1.2),
+    ("split_seg", 1.5), ("seg_to_circle", 1.0), ("split_seg_circle", 1.2), ("reconnect", 1.5),
+    ("merge_segs", 1.0), ("merge_circles", 1.0), ("merge_circle_seg", 1.0),
+]
+_DRAIN = [
+    ("merge_circles", 2.0), ("merge_segs", 2.0), ("merge_circle_seg", 2.0), ("close_circle", 1.0),
+    ("circle_to_seg", 0.6), ("close_segment", 1.0), ("seg_to_circle", 0.4),
+]
 
 
 def _random_profile(rng: random.Random, lo: float, hi: float, mass: float, samples: int) -> MeasureProfile:
@@ -64,65 +95,31 @@ def random_measured_graph(
 def _try_random_graph(
     rng: random.Random, max_events: int, samples: int, allow_dashed: bool
 ) -> Optional[MeasuredReebGraph]:
-    strands: list[_Strand] = []
-    next_sid = 0
-    events: list[tuple[str, str, list[_Strand], list[_Strand]]] = []
+    strands: list[_Strand] = []  # the active pool
+    born: list[_Strand] = []  # every strand, by id
+    events: list[tuple[str, str, list[_Strand]]] = []  # (type, orientation, consumed)
     conn = DSU()
 
-    def spawn(style: str, event: int) -> _Strand:
-        nonlocal next_sid
-        s = _Strand(next_sid, style, event)
-        next_sid += 1
-        return s
-
-    def record(vtype: str, orientation: str, consumed: list[_Strand], produced: list[_Strand]) -> int:
-        idx = len(events)
-        events.append((vtype, orientation, consumed, produced))
-        for s in consumed:
-            conn.union(("e", idx), ("e", s.birth_event))
-        return idx
-
-    circles = lambda: [s for s in strands if s.style == "solid"]  # noqa: E731
-    segments = lambda: [s for s in strands if s.style == "dashed"]  # noqa: E731
+    def choose(pool: list[_Strand], n: int) -> list[_Strand]:
+        # prefer strands from distinct components to help connectivity
+        if n == 2 and len(pool) >= 2:
+            by_root: dict[Any, _Strand] = {}
+            for s in pool:
+                by_root.setdefault(conn.find(("e", s.birth_event)), s)
+            if len(by_root) >= 2:
+                roots = sorted(by_root, key=repr)[:2]
+                return [by_root[r] for r in rng.sample(roots, 2)]
+        return rng.sample(pool, n)
 
     grow = rng.randrange(max_events // 2, max_events + 1)
     while len(events) < grow or strands:
-        growing = len(events) < grow
-        options: list[tuple[str, float]] = []
-        cs, sg = circles(), segments()
-        if growing:
-            options.append(("birth_circle", 1.5))
-            if allow_dashed:
-                options.append(("birth_segment", 2.0))
-            if cs:
-                options.append(("split_circle", 2.0))
-                if allow_dashed:
-                    options.append(("circle_to_seg", 1.2))
-            if sg:
-                options.append(("split_seg", 1.5))
-                options.append(("seg_to_circle", 1.0))
-                options.append(("split_seg_circle", 1.2))
-            if len(sg) >= 2:
-                options.append(("reconnect", 1.5))
-                options.append(("merge_segs", 1.0))
-            if len(cs) >= 2:
-                options.append(("merge_circles", 1.0))
-            if cs and sg:
-                options.append(("merge_circle_seg", 1.0))
-        else:
-            if len(cs) >= 2:
-                options.append(("merge_circles", 2.0))
-            if len(sg) >= 2:
-                options.append(("merge_segs", 2.0))
-            if cs and sg:
-                options.append(("merge_circle_seg", 2.0))
-            if cs:
-                options.append(("close_circle", 1.0))
-                if allow_dashed:
-                    options.append(("circle_to_seg", 0.6))
-            if sg:
-                options.append(("close_segment", 1.0))
-                options.append(("seg_to_circle", 0.4))
+        pools = ([s for s in strands if s.style == "solid"], [s for s in strands if s.style == "dashed"])
+        options = [
+            (name, w)
+            for name, w in (_GROW if len(events) < grow else _DRAIN)
+            for cb, sb, _, sa in [transition(*_EVENTS[name])]
+            if cb <= len(pools[0]) and sb <= len(pools[1]) and (allow_dashed or not sa)
+        ]
         if not options:
             break
         total = sum(w for _, w in options)
@@ -135,82 +132,17 @@ def _try_random_graph(
                 op = name
                 break
 
-        def choose(pool: list[_Strand], n: int) -> list[_Strand]:
-            # prefer strands from distinct components to help connectivity
-            if n == 2 and len(pool) >= 2:
-                by_root: dict[Any, _Strand] = {}
-                for s in pool:
-                    by_root.setdefault(conn.find(("e", s.birth_event)), s)
-                if len(by_root) >= 2:
-                    roots = sorted(by_root, key=repr)[:2]
-                    return [by_root[r] for r in rng.sample(roots, 2)]
-            return rng.sample(pool, n)
-
-        ev = len(events)
-        if op == "birth_circle":
-            strands.append(spawn("solid", record("VII", AS_IN_TABLE, [], [])))
-        elif op == "birth_segment":
-            strands.append(spawn("dashed", record("I", AS_IN_TABLE, [], [])))
-        elif op == "close_circle":
-            s = choose(circles(), 1)[0]
+        vtype, orientation = _EVENTS[op]
+        cb, sb, ca, sa = transition(vtype, orientation)
+        consumed = [s for pool, n in zip(pools, (cb, sb)) if n for s in choose(pool, n)]
+        for s in consumed:
             strands.remove(s)
-            record("VII", F_REVERSED, [s], [])
-        elif op == "close_segment":
-            s = choose(segments(), 1)[0]
-            strands.remove(s)
-            record("I", F_REVERSED, [s], [])
-        elif op == "split_circle":
-            s = choose(circles(), 1)[0]
-            strands.remove(s)
-            idx = record("VI", F_REVERSED, [s], [])
-            strands.extend([spawn("solid", idx), spawn("solid", idx)])
-        elif op == "merge_circles":
-            pair = choose(circles(), 2)
-            for s in pair:
-                strands.remove(s)
-            idx = record("VI", AS_IN_TABLE, pair, [])
-            strands.append(spawn("solid", idx))
-        elif op == "seg_to_circle":
-            s = choose(segments(), 1)[0]
-            strands.remove(s)
-            idx = record("III", AS_IN_TABLE, [s], [])
-            strands.append(spawn("solid", idx))
-        elif op == "circle_to_seg":
-            s = choose(circles(), 1)[0]
-            strands.remove(s)
-            idx = record("III", F_REVERSED, [s], [])
-            strands.append(spawn("dashed", idx))
-        elif op == "merge_circle_seg":
-            c = choose(circles(), 1)[0]
-            sgm = choose(segments(), 1)[0]
-            strands.remove(c)
-            strands.remove(sgm)
-            idx = record("V", AS_IN_TABLE, [c, sgm], [])
-            strands.append(spawn("dashed", idx))
-        elif op == "split_seg_circle":
-            s = choose(segments(), 1)[0]
-            strands.remove(s)
-            idx = record("V", F_REVERSED, [s], [])
-            strands.extend([spawn("solid", idx), spawn("dashed", idx)])
-        elif op == "merge_segs":
-            pair = choose(segments(), 2)
-            for s in pair:
-                strands.remove(s)
-            idx = record("II", AS_IN_TABLE, pair, [])
-            strands.append(spawn("dashed", idx))
-        elif op == "split_seg":
-            s = choose(segments(), 1)[0]
-            strands.remove(s)
-            idx = record("II", F_REVERSED, [s], [])
-            strands.extend([spawn("dashed", idx), spawn("dashed", idx)])
-        elif op == "reconnect":
-            pair = choose(segments(), 2)
-            for s in pair:
-                strands.remove(s)
-            idx = record("IV", AS_IN_TABLE, pair, [])
-            strands.extend([spawn("dashed", idx), spawn("dashed", idx)])
-        else:
-            raise AssertionError(op)
+            conn.union(("e", len(events)), ("e", s.birth_event))
+        for style, n in (("solid", ca), ("dashed", sa)):
+            for _ in range(n):
+                born.append(_Strand(len(born), style, len(events)))
+                strands.append(born[-1])
+        events.append((vtype, orientation, consumed))
         if len(events) > 4 * max_events + 8:
             return None
 
@@ -222,54 +154,32 @@ def _try_random_graph(
 
     # assemble: vertices at jittered increasing levels
     fvals = [i + rng.uniform(-0.2, 0.2) for i in range(len(events))]
-    vertices = [
-        ReebVertex(i + 1, fvals[i], events[i][0], events[i][1]) for i in range(len(events))
-    ]
+    vertices = [ReebVertex(i + 1, fvals[i], vtype, orientation)
+                for i, (vtype, orientation, _) in enumerate(events)]
 
-    # edges: need, for each event, which strands it consumed/produced
-    produced_at: dict[int, list[_Strand]] = {}
-    consumed_at: dict[int, list[_Strand]] = {}
-    all_strands: dict[int, _Strand] = {}
-    for idx, (_, _, consumed, _) in enumerate(events):
-        for s in consumed:
-            consumed_at.setdefault(idx, []).append(s)
-            all_strands[s.sid] = s
-    # strands are born at their birth_event; recover the produced lists
-    for s in all_strands.values():
-        produced_at.setdefault(s.birth_event, []).append(s)
-
+    # every strand dies in the pool, so strand i becomes edge i + 1; each
+    # event's produced strands are listed in the order they die
     death_of: dict[int, int] = {}
-    for idx, lst in consumed_at.items():
-        for s in lst:
+    produced_at: dict[int, list[int]] = {}
+    for idx, (_, _, consumed) in enumerate(events):
+        for s in consumed:
             death_of[s.sid] = idx
-
+            produced_at.setdefault(s.birth_event, []).append(s.sid + 1)
     edges = []
-    strand_edge: dict[int, int] = {}
-    for sid in sorted(all_strands):
-        s = all_strands[sid]
-        eid = len(edges) + 1
+    for s in born:
         tail, head = s.birth_event, death_of[s.sid]
-        mass = random.Random(sid * 1000033 + tail * 1013 + head).uniform(0.4, 2.0)
+        mass = random.Random(s.sid * 1000033 + tail * 1013 + head).uniform(0.4, 2.0)
         prof = _random_profile(rng, fvals[tail], fvals[head], mass, samples)
-        edges.append(ReebEdge(eid, tail + 1, head + 1, s.style, prof))
-        strand_edge[sid] = eid
+        edges.append(ReebEdge(s.sid + 1, tail + 1, head + 1, s.style, prof))
 
     cyclic: dict[int, tuple[int, ...]] = {}
-    for idx, (vtype, orientation, consumed, _) in enumerate(events):
-        produced = produced_at.get(idx, [])
+    for idx, (vtype, _, consumed) in enumerate(events):
+        b, a = [s.sid + 1 for s in consumed], produced_at.get(idx, [])
         if vtype == "II":
-            below = [strand_edge[s.sid] for s in consumed]
-            above = [strand_edge[s.sid] for s in produced if s.style == "dashed"]
-            trio = below + above
-            order = (trio[0], trio[1], trio[2]) if rng.random() < 0.5 else (trio[0], trio[2], trio[1])
-            cyclic[idx + 1] = order
+            t = b + a
+            cyclic[idx + 1] = (t[0], t[1], t[2]) if rng.random() < 0.5 else (t[0], t[2], t[1])
         elif vtype == "IV":
-            b = [strand_edge[s.sid] for s in consumed]
-            a = [strand_edge[s.sid] for s in produced]
-            if rng.random() < 0.5:
-                cyclic[idx + 1] = (b[0], a[0], b[1], a[1])
-            else:
-                cyclic[idx + 1] = (b[0], a[1], b[1], a[0])
+            cyclic[idx + 1] = (b[0], a[0], b[1], a[1]) if rng.random() < 0.5 else (b[0], a[1], b[1], a[0])
 
     g = MeasuredReebGraph(vertices, edges, cyclic)
     g.validate()

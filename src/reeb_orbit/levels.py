@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LevelOnVertex, TopologyError
+from .errors import DataError, LevelOnVertex, TopologyError
 from .surface import EdgeKey, PLSurface, edge_key, min_labels
 
 
@@ -51,7 +51,8 @@ def midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def regular_values(cuts, values) -> np.ndarray:
     """For each interval (cuts[j], cuts[j + 1]), the midpoint of its first widest gap
-    between its ends and the ascending ``values`` inside it, by one maximum.reduceat."""
+    between its ends and the ascending ``values`` inside it, by one maximum.reduceat.
+    A DataError names the two values of a widest gap that holds no float."""
     ends = list(cuts)
     cuts, values = np.asarray(ends, dtype=float), np.asarray(values, dtype=float)
     if not np.all(cuts[:-1] < cuts[1:]):
@@ -63,7 +64,14 @@ def regular_values(cuts, values) -> np.ndarray:
     widest = np.maximum.reduceat(gaps, at[:-1])
     best = np.flatnonzero(gaps == np.repeat(widest, np.diff(at)))
     best = best[np.searchsorted(best, at[:-1])]
-    return midpoints(stops[best], stops[best + 1])
+    lo, hi = stops[best], stops[best + 1]
+    mid = midpoints(lo, hi)
+    # a widest gap of one ulp has no float inside it
+    tight = (mid <= lo) | (mid >= hi)
+    if tight.any():
+        j = int(np.argmax(tight))
+        raise DataError(f"no regular value separates the field values {float(lo[j])!r} and {float(hi[j])!r}")
+    return mid
 
 
 def pick_regular_value(lo: float, hi: float, values: np.ndarray) -> float:

@@ -138,75 +138,46 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
             return [w_loc] + [new(1.0 + k) for k in range(n_solid - 1)]
 
         kind = (v.vtype, v.orientation)
-        if v.vtype == "VII":
-            w = new(0.0)
-            edge = out_s[0] if v.orientation == AS_IN_TABLE else in_s[0]
-            end = "tail" if v.orientation == AS_IN_TABLE else "head"
-            ports[(edge.id, end)] = (_CAP, w)
-        elif v.vtype == "I":
-            w = new(0.0)
-            edge = out_d[0] if v.orientation == AS_IN_TABLE else in_d[0]
-            end = "tail" if v.orientation == AS_IN_TABLE else "head"
-            ports[(edge.id, end)] = (_CAP, w)
+        as_in_table = v.orientation == AS_IN_TABLE
+        # the table's below and above edges (solid, dashed), and the end by
+        # which each attaches here: f-reversed swaps them
+        ins, outs = (in_s, in_d, "head"), (out_s, out_d, "tail")
+        (below_s, below_d, low), (above_s, above_d, high) = (ins, outs) if as_in_table else (outs, ins)
+        if v.vtype in ("I", "VII"):
+            ports[((above_s or above_d)[0].id, high)] = (_CAP, new(0.0))
         elif v.vtype == "VI":
             w = new(0.0)
             a = loop(w)
             bb = loop(w)
-            if v.orientation == AS_IN_TABLE:
-                ports[(in_s[0].id, "head")] = (_SLOTS, a)
-                ports[(in_s[1].id, "head")] = (_SLOTS, bb)
-                ports[(out_s[0].id, "tail")] = (_SLOTS, a + bb)
-            else:
-                ports[(in_s[0].id, "head")] = (_SLOTS, a + bb)
-                ports[(out_s[0].id, "tail")] = (_SLOTS, a)
-                ports[(out_s[1].id, "tail")] = (_SLOTS, bb)
+            ports[(below_s[0].id, low)] = (_SLOTS, a)
+            ports[(below_s[1].id, low)] = (_SLOTS, bb)
+            ports[(above_s[0].id, high)] = (_SLOTS, a + bb)
         elif v.vtype == "V":
             a = loop()
             w = a[0]
             p = new(-2.0)
             q = new(float(n_solid) + 1.0)
-            direct = [p, w, q]
-            wrapped = [p] + a + [w, q]
-            if v.orientation == AS_IN_TABLE:
-                ports[(in_s[0].id, "head")] = (_SLOTS, a)
-                ports[(in_d[0].id, "head")] = (_SLOTS, direct)
-                ports[(out_d[0].id, "tail")] = (_SLOTS, wrapped)
-            else:
-                ports[(in_d[0].id, "head")] = (_SLOTS, wrapped)
-                ports[(out_s[0].id, "tail")] = (_SLOTS, a)
-                ports[(out_d[0].id, "tail")] = (_SLOTS, direct)
+            ports[(below_s[0].id, low)] = (_SLOTS, a)
+            ports[(below_d[0].id, low)] = (_SLOTS, [p, w, q])
+            ports[(above_d[0].id, high)] = (_SLOTS, [p] + a + [w, q])
         elif v.vtype == "III":
             a = loop()
-            w = a[0]
-            closed_path = a + [w]
-            if v.orientation == AS_IN_TABLE:
-                ports[(in_d[0].id, "head")] = (_SLOTS, closed_path)
-                ports[(out_s[0].id, "tail")] = (_SLOTS, a)
-            else:
-                ports[(in_s[0].id, "head")] = (_SLOTS, a)
-                ports[(out_d[0].id, "tail")] = (_SLOTS, closed_path)
+            ports[(below_d[0].id, low)] = (_SLOTS, a + [a[0]])
+            ports[(above_s[0].id, high)] = (_SLOTS, a)
         elif v.vtype == "II":
             w = new(0.0)
             la = new(-2.0)
             lb = new(2.0)
             # the slab boundary walk runs opposite to the slot direction, so
             # the cyclic successor of the single-leg edge attaches at the
-            # second leaf
+            # second leaf; the mirror reverses the walk
             order = list(g.cyclic_orders[v.id])
-            if v.orientation == AS_IN_TABLE:
-                single = out_d[0]
-                k = order.index(single.id)
-                succ, pred = order[(k + 1) % 3], order[(k - 1) % 3]
-                ports[(succ, "head")] = (_SLOTS, [la, w])
-                ports[(pred, "head")] = (_SLOTS, [w, lb])
-                ports[(single.id, "tail")] = (_SLOTS, [la, w, lb])
-            else:
-                single = in_d[0]
-                k = order.index(single.id)
-                succ, pred = order[(k + 1) % 3], order[(k - 1) % 3]
-                ports[(single.id, "head")] = (_SLOTS, [la, w, lb])
-                ports[(pred, "tail")] = (_SLOTS, [la, w])
-                ports[(succ, "tail")] = (_SLOTS, [w, lb])
+            single = above_d[0]
+            k = order.index(single.id)
+            step = 1 if as_in_table else -1
+            ports[(order[(k + step) % 3], low)] = (_SLOTS, [la, w])
+            ports[(order[(k - step) % 3], low)] = (_SLOTS, [w, lb])
+            ports[(single.id, high)] = (_SLOTS, [la, w, lb])
         elif v.vtype == "IV":
             w = new(0.0)
             order = iv_order(g, v.id)

@@ -1,11 +1,12 @@
 """Measured Reeb graph data model.
 
 Vertices carry one of the seven singular-level types together with an
-orientation bit: ``as-in-table`` is the transition exactly as tabulated,
-``f-reversed`` its mirror under negating the field.  Type IV is its own
-mirror and always records ``as-in-table``.  Edges are oriented towards
-increasing field value, carry a style (solid for circle level families,
-dashed for segment families), and a sampled cumulative measure profile.
+orientation bit: ``as-in-table`` is the transition exactly as tabulated in
+``TRANSITIONS``, ``f-reversed`` its mirror under negating the field.  Type
+IV is its own mirror and always records ``as-in-table``.  Edges are
+oriented towards increasing field value, carry a style (solid for circle
+level families, dashed for segment families), and a sampled cumulative
+measure profile.
 """
 
 from __future__ import annotations
@@ -24,21 +25,34 @@ VERTEX_TYPES = ("I", "II", "III", "IV", "V", "VI", "VII")
 AS_IN_TABLE = "as-in-table"
 F_REVERSED = "f-reversed"
 
-# (dashed_in, dashed_out, solid_in, solid_out) per (type, orientation)
+# (circles below, segments below, circles above, segments above) per type, as
+# tabulated; the f-reversed transition swaps below and above
+TRANSITIONS = {
+    "I": (0, 0, 0, 1),
+    "II": (0, 2, 0, 1),
+    "III": (0, 1, 1, 0),
+    "IV": (0, 2, 0, 2),
+    "V": (1, 1, 0, 1),
+    "VI": (2, 0, 1, 0),
+    "VII": (0, 0, 1, 0),
+}
+
+
+def transition(vtype: str, orientation: str) -> tuple[int, int, int, int]:
+    """(circles below, segments below, circles above, segments above) of a
+    vertex of this type and orientation."""
+    cb, sb, ca, sa = TRANSITIONS[vtype]
+    return (cb, sb, ca, sa) if orientation == AS_IN_TABLE else (ca, sa, cb, sb)
+
+
+# (dashed_in, dashed_out, solid_in, solid_out) per (type, orientation); a
+# type that is its own mirror records as-in-table only
 _INCIDENCE = {
-    ("I", AS_IN_TABLE): (0, 1, 0, 0),
-    ("I", F_REVERSED): (1, 0, 0, 0),
-    ("II", AS_IN_TABLE): (2, 1, 0, 0),
-    ("II", F_REVERSED): (1, 2, 0, 0),
-    ("III", AS_IN_TABLE): (1, 0, 0, 1),
-    ("III", F_REVERSED): (0, 1, 1, 0),
-    ("IV", AS_IN_TABLE): (2, 2, 0, 0),
-    ("V", AS_IN_TABLE): (1, 1, 1, 0),
-    ("V", F_REVERSED): (1, 1, 0, 1),
-    ("VI", AS_IN_TABLE): (0, 0, 2, 1),
-    ("VI", F_REVERSED): (0, 0, 1, 2),
-    ("VII", AS_IN_TABLE): (0, 0, 0, 1),
-    ("VII", F_REVERSED): (0, 0, 1, 0),
+    (vtype, orientation): (sb, sa, cb, ca)
+    for vtype in VERTEX_TYPES
+    for orientation in (AS_IN_TABLE, F_REVERSED)
+    if orientation == AS_IN_TABLE or transition(vtype, F_REVERSED) != TRANSITIONS[vtype]
+    for cb, sb, ca, sa in [transition(vtype, orientation)]
 }
 
 
@@ -92,7 +106,7 @@ class MeasureProfile:
             raise InvalidGraph("profile must be strictly increasing")
 
 
-def _fsum(terms: list[float]) -> float:
+def fsum_or_inf(terms: list[float]) -> float:
     """math.fsum, or an infinity of the sign of the plain sum where it overflows."""
     try:
         return math.fsum(terms)
@@ -143,7 +157,7 @@ class ProfileTable:
             x[ends[sizes > 0] - 1] = self.hi[sizes > 0]
             terms = (midpoints(x[:-1], x[1:]) * (flat[1:] - flat[:-1])).tolist()
         bounds = zip((ends - sizes).tolist(), ends.tolist())
-        return [_fsum(terms[a : max(a, b - 1)]) for a, b in bounds]
+        return [fsum_or_inf(terms[a : max(a, b - 1)]) for a, b in bounds]
 
 
 @dataclass

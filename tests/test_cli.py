@@ -441,6 +441,25 @@ def test_extract_with_an_overflowing_field_exits_2(capsys, tmp_path, top, messag
     assert json.loads(out) == {"error": "DataError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        # the limits are finite, the Kirchhoff sum at vertex 2 is not
+        ([1.7e308, 1.7e308], "Kirchhoff residual at vertex 2 is not finite"),
+        # head minus tail is beyond double range
+        ([-9e307, 9e307], "Newton-Leibniz residual of edge 1 is not finite"),
+    ],
+    ids=["kirchhoff", "newton-leibniz"],
+)
+def test_circulation_check_with_overflowing_residuals_exits_2(capsys, tmp_path, pair, message):
+    # math.fsum raised OverflowError on both, and the command ended in a traceback
+    limits = tmp_path / "limits.json"
+    limits.write_text(json.dumps({"circulation": {k: pair for k in ("1", "2", "3", "6")}}))
+    code, out, _ = run(capsys, "circulation", "check", str(DATA / "fig2.json"), str(limits))
+    assert code == 2
+    assert json.loads(out) == {"error": "DataError", "message": message}
+
+
 def test_one_coordinate_xy_exits_2(capsys, tmp_path):
     def edit(doc):
         doc["vertices"][0]["xy"] = [0.0]

@@ -22,7 +22,7 @@ from reeb_orbit import (
     topology_summary,
     validate_simple_morse,
 )
-from reeb_orbit import extraction, levels, realize
+from reeb_orbit import cli, extraction, levels, realize
 from reeb_orbit.circulation import dashed_cycle_basis, solve_circulations
 from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.levels import (
@@ -36,9 +36,10 @@ from reeb_orbit.levels import (
     trace_level,
     trace_levels,
 )
-from reeb_orbit.models import disk_mesh, torus_with_hole_mesh
+from reeb_orbit.models import disk_mesh, square_mesh, torus_with_hole_mesh
+from reeb_orbit.reebgraph import _INCIDENCE, AS_IN_TABLE, F_REVERSED, transition
 from reeb_orbit.serialize import dumps, graph_to_dict
-from reeb_orbit.surface import edge_key, min_labels, remap
+from reeb_orbit.surface import PLSurface, edge_key, min_labels, remap
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
 
@@ -57,6 +58,16 @@ def test_classify_table_rows():
     assert classify_level_transition((1, 0), (0, 0)) == ("VII", "f-reversed")
     with pytest.raises(UnclassifiableTransition):
         classify_level_transition((2, 1), (0, 1))
+
+
+def test_classify_inverts_the_transition_table():
+    # each of the 13 vertex kinds that validation accepts is the one kind its
+    # transition classifies as; IV's mirror is IV as-in-table
+    assert len(_INCIDENCE) == 13
+    for kind in [*_INCIDENCE, ("IV", F_REVERSED)]:
+        counts = transition(*kind)
+        want = ("IV", AS_IN_TABLE) if kind[0] == "IV" else kind
+        assert classify_level_transition(counts[:2], counts[2:]) == want
 
 
 def test_disk_extraction(disk):
@@ -666,6 +677,25 @@ def test_regular_values_reject_empty_intervals():
             pick_regular_value(lo, hi, values)
         with pytest.raises(TopologyError, match=message):
             regular_values([-5.0, -4.0, lo, hi, 20.0] if lo > -4.0 else [lo, hi, 20.0], values)
+
+
+def test_extract_names_values_that_leave_no_regular_value(capsys, tmp_path):
+    # 1.0 and the float after it are the widest gap of their band, and their
+    # midpoint rounds onto 1.0: extraction traced that level and failed with
+    # LevelOnVertex, which named the level but not the cause
+    s = square_mesh(1)
+    f = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0 + 2 * np.finfo(float).eps])
+    s = PLSurface(list(s.vertex_ids), f, s.triangles, s.areas, s.xy)
+    assert validate_simple_morse(s).is_simple_morse
+    message = "no regular value separates the field values 1.0 and 1.0000000000000002"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        extract_reeb(s)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        regular_values([f.min(), f.max()], np.sort(f))
+    path = tmp_path / "mesh.json"
+    path.write_text(dumps(s.to_dict()))
+    assert cli.main(["extract", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "DataError", "message": message}
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)

@@ -1,11 +1,14 @@
 """Property-based suites over randomly generated measured Reeb graphs."""
 
 import copy
+import hashlib
+import json
 import math
 import random
 import re
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from reeb_orbit.circulation import check_circulation, solve_circulations, total_
 from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.graph_core import boundary_cycles, homology_dims, sigma
 from reeb_orbit.fixtures import fig2_graph, fig4a_graph, fig4b_graph
+from reeb_orbit.serialize import graph_to_dict
 from reeb_orbit.reebgraph import (
     _INCIDENCE,
     AS_IN_TABLE,
@@ -341,3 +345,28 @@ def test_validate_reports_the_first_error_of_the_per_edge_checks():
         "vertex N: cyclic order is not a permutation of its dashed edges",
         "graph is disconnected",
     }
+
+
+# sha256 of the generator's graphs, one digest per call shape the benchmark
+# and the tests use: their inputs and pinned figures all come from these
+# graphs, so a change to the generator must keep every random draw in order
+GENERATOR_DIGESTS = {
+    "defaults": ({}, range(20000, 20011), "b7fd03e0a787f78b02bc41290b35959e9f7117416be3a69c244087324197c706"),
+    "max_events=6": ({"max_events": 6}, range(30000, 30080), "fa5e82b88c390de32d1e5b8f268a2e48598537ebf58f4a0a40c30929b30f0220"),
+    "max_events=10": ({"max_events": 10}, range(40), "c233b9bb6b358d19f7d84e2c3c32a051949f8d3eeafa0e27b47d78efd0903f74"),
+    "max_events=25,samples=32": (
+        {"max_events": 25, "samples": 32}, range(40000, 40008),
+        "3b89139fedb88fe206a0b7ba6efebb2c40785bbf173e5374c3224e74b294ccb0",
+    ),
+    "allow_dashed=False": ({"allow_dashed": False}, range(40), "6618940d92c22f2fbaf311e13ce29c8fe2341f6e035dca5f38f4f16c3678fbf8"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATOR_DIGESTS))
+def test_generator_output_is_pinned(shape):
+    kwargs, seeds, digest = GENERATOR_DIGESTS[shape]
+    h = hashlib.sha256()
+    for seed in seeds:
+        doc = graph_to_dict(random_measured_graph(seed, **kwargs))
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == digest

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -450,3 +451,44 @@ def test_deep_nesting_exits_2(tmp_path):
         assert not surface._few_openers(many.decode() if kind is str else kind(many))
     with pytest.raises(ParseError, match="maximum recursion depth"):
         decode_json("[" * 200_000 + "]" * 200_000, "mesh")
+
+
+# -- the graph commands at any scale -------------------------------------------------
+
+GRAPH_FIXTURES = ("closed_torus.json", "fig2.json", "fig4a.json", "fig4b.json")
+
+
+def _scaled(doc, k_f, k_mass):
+    doc = copy.deepcopy(doc)
+    for v in doc["vertices"]:
+        v["f"] *= 10.0**k_f
+    for e in doc["edges"]:
+        e["cumulative"] = [c * 10.0**k_mass for c in e["cumulative"]]
+        e["mass"] = e["cumulative"][-1]
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(GRAPH_FIXTURES), st.integers(-300, 300), st.integers(-300, 300))
+def test_scaled_graphs_print_json_or_exit_2(tmp_path_factory, name, k_f, k_mass):
+    # field values and profile samples scaled by powers of ten across the
+    # double range: each graph command prints JSON that orjson reads, which
+    # excludes NaN and Infinity, and exits 0, or exits 2 with a named error
+    work = tmp_path_factory.mktemp("scaled")
+    graph = work / "graph.json"
+    graph.write_text(json.dumps(_scaled(json.loads((DATA / name).read_text()), k_f, k_mass)))
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv])
+        assert code in (0, 2), (argv, out.getvalue()[:500])
+        return code, orjson.loads(out.getvalue())
+
+    for argv in (["invariants"], ["compare", str(graph)], ["realize", "--resolution", "4"]):
+        run(argv[0], str(graph), *argv[1:])
+    code, solved = run("circulation", "solve", str(graph))
+    if code == 0:
+        limits = work / "limits.json"
+        limits.write_text(json.dumps({"circulation": solved["particular"]}))
+        run("circulation", "check", str(graph), str(limits))
