@@ -117,14 +117,14 @@ def total_moment(g: MeasuredReebGraph) -> float:
 
 
 def _finite_moments(g: MeasuredReebGraph) -> dict[int, float]:
-    """Field moment of each solid edge, by id.  Circulation tolerances are
-    relative to total_mass * (hi - lo), so a DataError is raised when that
-    scale, a moment or the sum of the moments' absolute values, which bounds
-    every sum of moments that solving, checking and synthesis form, is not finite."""
+    """Field moment of each solid edge, by id, integrating no dashed profile.
+    Circulation tolerances are relative to total_mass * (hi - lo), so a
+    DataError is raised when that scale, a moment or the sum of the moments'
+    absolute values, which bounds every sum of moments formed, is not finite."""
     lo, hi = g.f_range()
     if not math.isfinite(g.total_mass * (hi - lo)):
         raise DataError(f"total mass {g.total_mass!r} times field range {hi - lo!r} is not finite")
-    moments = {e.id: g.edge_moments[e.id] for e in g.solid_edges()}
+    moments = g.solid_moments
     for eid, moment in moments.items():
         if not math.isfinite(moment):
             raise DataError(f"field moment of edge {eid} is not finite")

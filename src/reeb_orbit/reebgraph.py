@@ -240,6 +240,13 @@ class MeasuredReebGraph:
         """Field moment of each edge, by id."""
         return dict(zip([e.id for e in self.edges], self.profile_table.moments()))
 
+    @cached_property
+    def solid_moments(self) -> dict[int, float]:
+        """``edge_moments`` of the solid edges, integrating no dashed profile."""
+        solids = self.solid_edges()
+        moments = ProfileTable([e.profile for e in solids]).moments() if solids else []
+        return dict(zip([e.id for e in solids], moments))
+
     # -- validity ----------------------------------------------------------------
 
     def validate(self) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -225,5 +226,60 @@ def to_dot(g: MeasuredReebGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# how json.dumps writes each JSON leaf type; subclasses are left to json.dumps
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if x - x == 0 else json.dumps(x),
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _values(values: Any, inner: str) -> Any:
+    """The text of each of ``values`` (at least one), lines starting ``inner``.
+    Leaves of one type are one C-level map (``float.__repr__`` when the floats'
+    sum, hence each float, is finite); a table, arrays of one length or objects
+    of one key set with no more fields than rows, fills a template by columns."""
+    kinds, first, deeper = set(map(type, values)), values[0], inner + "  "
+    if len(kinds) == 1 and type(first) in _LEAVES:
+        if type(first) is float and (total := sum(values)) - total == 0:
+            return map(float.__repr__, values)
+        return map(_LEAVES[type(first)], values)
+    if kinds <= {list, tuple} and 0 < len(first) <= len(values) and set(map(len, values)) == {len(first)}:
+        columns = list(zip(*values))
+        template = "[" + deeper + ("," + deeper).join(["{}"] * len(first)) + inner + "]"
+    elif (kinds == {dict} and 0 < len(first) <= len(values) and set(map(type, first)) == {str}
+          and all(map(first.keys().__eq__, map(dict.keys, values)))):
+        keys = sorted(first)
+        columns = [[v[k] for v in values] for k in keys]
+        fields = [k.replace("{", "{{").replace("}", "}}") + ": {}" for k in map(encode_basestring_ascii, keys)]
+        template = "{{" + deeper + ("," + deeper).join(fields) + inner + "}}"
+    else:
+        return [_encode(v, inner) for v in values]
+    return map(template.format, *[_values(c, deeper) for c in columns])
+
+
+def _encode(o: Any, indent: str) -> str:
+    """``o`` as json.dumps(o, indent=2, sort_keys=True) writes it, with
+    ``indent``, a line break and spaces, starting each line after its first."""
+    if type(o) in _LEAVES:
+        return _LEAVES[type(o)](o)
+    inner = indent + "  "
+    if type(o) is list or type(o) is tuple:
+        return "[" + inner + ("," + inner).join(_values(o, inner)) + indent + "]" if o else "[]"
+    if type(o) is dict and set(map(type, o)) <= {str}:
+        if not o:
+            return "{}"
+        keys = sorted(o)
+        items = map(": ".join, zip(map(encode_basestring_ascii, keys), _values([o[k] for k in keys], inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    # other keys, subclasses and non-JSON values, as json.dumps writes or refuses
+    # them; JSON text holds no raw line break, so the replace only indents
+    return json.dumps(o, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def dumps(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    without the pure-Python chunk stream that ``json`` uses when it indents."""
+    return _encode(doc, "\n") + "\n"

@@ -147,16 +147,13 @@ class PLSurface:
         return self.vertex_ids[index]
 
     def to_dict(self) -> dict[str, Any]:
-        verts = []
-        for i, vid in enumerate(self.vertex_ids):
-            entry: dict[str, Any] = {"id": vid, "f": float(self.f[i])}
-            if self.xy is not None:
-                entry["xy"] = [float(self.xy[i, 0]), float(self.xy[i, 1])]
-            verts.append(entry)
-        tris = [
-            {"v": [self.vertex_ids[int(a)] for a in tri], "area": float(area)}
-            for tri, area in zip(self.triangles, self.areas)
-        ]
+        ids, f = self.vertex_ids, self.f.tolist()
+        if self.xy is None:
+            verts = [{"id": vid, "f": x} for vid, x in zip(ids, f)]
+        else:
+            verts = [{"id": vid, "f": x, "xy": p} for vid, x, p in zip(ids, f, self.xy.tolist())]
+        corners = np.asarray(ids)[self.triangles].tolist()
+        tris = [{"v": v, "area": area} for v, area in zip(corners, self.areas.tolist())]
         return {"vertices": verts, "triangles": tris}
 
 

@@ -799,3 +799,19 @@ def test_large_closed_graph_solves_by_counting(monkeypatch):
     assert len(linspace_calls) <= 2 * len(g.edges)
     assert res.exists
     assert len(res.basis) == ro.homology_dims(g).h1_rel == 150
+
+
+def test_solid_moments_integrate_only_solid_profiles():
+    from pathlib import Path
+
+    from reeb_orbit.circulation import _finite_moments
+
+    data = Path(__file__).resolve().parents[1] / "src" / "reeb_orbit" / "data"
+    graphs = [load_graph((data / f"{name}.json").read_text())
+              for name in ("closed_torus", "fig2", "fig4a", "fig4b")]
+    for g in graphs + _corpus():
+        moments = _finite_moments(g)
+        # edge_moments, a cached property, integrates every edge and has not run
+        assert "edge_moments" not in vars(g)
+        want = {e.id: g.edge_moments[e.id].hex() for e in g.solid_edges()}
+        assert {eid: m.hex() for eid, m in moments.items()} == want

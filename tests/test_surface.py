@@ -523,3 +523,32 @@ def test_validation_matches_reference_link_walk():
         "BOUNDARY_CRITICAL",
         "DUPLICATE_CRITICAL_VALUE",
     }
+
+
+def reference_to_dict(s):
+    """The mesh document built one element at a time."""
+    verts = []
+    for i, vid in enumerate(s.vertex_ids):
+        entry = {"id": vid, "f": float(s.f[i])}
+        if s.xy is not None:
+            entry["xy"] = [float(s.xy[i, 0]), float(s.xy[i, 1])]
+        verts.append(entry)
+    tris = [
+        {"v": [s.vertex_ids[int(a)] for a in tri], "area": float(area)}
+        for tri, area in zip(s.triangles, s.areas)
+    ]
+    return {"vertices": verts, "triangles": tris}
+
+
+@pytest.mark.parametrize("with_xy", [True, False])
+def test_to_dict_matches_the_per_element_document(with_xy):
+    meshes = [square_mesh(), models.torus_with_hole_mesh()]
+    meshes += [remap(realize(random_measured_graph(20009, samples=12), resolution=6).surface, {"kind": "refine"})]
+    for s in meshes:
+        assert s.xy is not None
+        if not with_xy:
+            s = PLSurface([vid - 7 for vid in s.vertex_ids], s.f, s.triangles, s.areas)
+        doc, want = s.to_dict(), reference_to_dict(s)
+        assert doc == want
+        assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert {type(x) for v in doc["vertices"] for x in [v["id"], v["f"], *v.get("xy", [])]} <= {int, float}

@@ -8,6 +8,7 @@ documents with one value replaced.
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -492,3 +493,38 @@ def test_scaled_graphs_print_json_or_exit_2(tmp_path_factory, name, k_f, k_mass)
         limits = work / "limits.json"
         limits.write_text(json.dumps({"circulation": solved["particular"]}))
         run("circulation", "check", str(graph), str(limits))
+
+
+# -- the mesh commands at any scale --------------------------------------------------
+
+MESH_FIXTURES = ("disk_linear.json", "fig2.json", "closed_torus.json")
+
+
+@functools.cache
+def _mesh_doc(name):
+    """The disk mesh as stored, or the realized mesh of a graph fixture."""
+    doc = json.loads((DATA / name).read_text())
+    if name == "disk_linear.json":
+        return doc
+    return reeb_orbit.realize(graph_from_dict(doc), resolution=4).surface.to_dict()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(MESH_FIXTURES), st.integers(-300, 300), st.integers(-300, 300))
+def test_scaled_meshes_print_json_or_exit_2(tmp_path_factory, name, k_f, k_area):
+    # field values and triangle areas scaled by powers of ten across the
+    # double range: validate and extract print JSON that orjson reads and
+    # exit 0 or 1, or exit 2 with a named error
+    doc = copy.deepcopy(_mesh_doc(name))
+    for v in doc["vertices"]:
+        v["f"] *= 10.0**k_f
+    for t in doc["triangles"]:
+        t["area"] *= 10.0**k_area
+    mesh = tmp_path_factory.mktemp("scaled") / "mesh.json"
+    mesh.write_text(json.dumps(doc))
+    for argv in (["validate", str(mesh)], ["extract", str(mesh), "--samples", "8"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        printed = orjson.loads(out.getvalue())
+        assert code in (0, 1) or (code == 2 and printed["error"]), (argv, out.getvalue()[:500])
