@@ -371,54 +371,35 @@ def _lift_edge(s: PLSurface, ctx: ExtractionContext, e: ReebEdge) -> LiftedEdge:
         t = crossing_param(s, key, value)
         return t if direction == key else 1.0 - t
 
-    def clip_node(direction: tuple[int, int], target: float, end: int) -> tuple[Node, float]:
-        """The node where the walk along ``direction`` meets ``target``, and
-        its parameter, when ``direction[end]`` is past or on it."""
-        if s.f[direction[end]] == target:
-            return ("v", direction[end]), float(end)
-        key = edge_key(*direction)
-        return ("x", key), dir_param(key, direction, target)
-
     t0 = dir_param(start_key, chain[i0], level)
     if s.f[chain[i0][1]] < level:
         raise InvalidGraph("boundary walk does not ascend along the orientation")
 
-    # forward to hi
-    pieces: list[tuple[tuple[int, int], float, float]] = []
-    idx = i0
-    s_from = t0
-    end_node: Optional[Node] = None
-    for _ in range(2 * n + 2):
-        direction = chain[idx % n]
-        if s.f[direction[1]] >= hi:
-            end_node, s_to = clip_node(direction, hi, 1)
-            pieces.append((direction, s_from, s_to))
-            break
-        pieces.append((direction, s_from, 1.0))
-        idx += 1
-        s_from = 0.0
-    if end_node is None:
-        raise InvalidGraph("boundary walk failed to reach the upper level")
+    def walk(step: int, target: float) -> tuple[list[tuple[tuple[int, int], float, float]], Node]:
+        """The pieces from the probe crossing along the orientation (step 1) to
+        ``target`` = hi, or against it (step -1) to lo, in walk order, and the
+        node where the walk stops: a boundary vertex on ``target`` or the
+        crossing of ``target``; each piece keeps its ends in field order."""
+        end = (1 + step) // 2  # the end of each boundary edge the walk moves toward
+        pieces, idx, near = [], i0, t0
+        for _ in range(2 * n + 2):
+            direction = chain[idx % n]
+            if step * s.f[direction[end]] >= step * target:
+                key = edge_key(*direction)
+                if s.f[direction[end]] == target:
+                    node, far = ("v", direction[end]), float(end)
+                else:
+                    node, far = ("x", key), dir_param(key, direction, target)
+                pieces.append((direction, *(near, far)[::step]))
+                return pieces, node
+            pieces.append((direction, *(near, float(end))[::step]))
+            idx, near = idx + step, float(1 - end)
+        raise InvalidGraph(f"boundary walk failed to reach the {('lower', 'upper')[end]} level")
 
-    # backward to lo: walk against the orientation, then flip the pieces
-    back: list[tuple[tuple[int, int], float, float]] = []
-    idx = i0
-    s_to = t0
-    start_node: Optional[Node] = None
-    for _ in range(2 * n + 2):
-        direction = chain[idx % n]
-        if s.f[direction[0]] <= lo:
-            start_node, s_from = clip_node(direction, lo, 0)
-            back.append((direction, s_from, s_to))
-            break
-        back.append((direction, 0.0, s_to))
-        idx -= 1
-        s_to = 1.0
-    if start_node is None:
-        raise InvalidGraph("boundary walk failed to reach the lower level")
-    back.reverse()
+    pieces, end_node = walk(1, hi)
+    back, start_node = walk(-1, lo)
     # the backward stub and the first forward piece abut at the probe level
-    return LiftedEdge(e.id, back + pieces, start_node, end_node)
+    return LiftedEdge(e.id, back[::-1] + pieces, start_node, end_node)
 
 
 def _level_graph(

@@ -242,31 +242,25 @@ def match_augmented(
     a2: AugmentedCirculationGraph,
     tol_f: Optional[float] = None,
     tol_mass: float = 1e-6,
-    tol_circ: Optional[float] = None,
-    tol_xi: Optional[float] = None,
 ) -> GraphIsomorphism:
     """Decide isomorphism of augmented circulation graphs.
 
     Runs the measured comparison, then compares circulation limits edge-wise
     under the edge map, then transports the first graph's cycle basis through
-    the map and evaluates the second graph's coordinates on it.
+    the map and evaluates the second graph's coordinates on it; limits and
+    coordinates agree within 1e-6 * max(1, total mass * max(1, field range)).
     """
-    check_tolerances(tol_circ=tol_circ, tol_xi=tol_xi)
     iso = match_measured(a1.graph, a2.graph, tol_f=tol_f, tol_mass=tol_mass)
     if not iso.ok:
         return iso
     g1, g2 = a1.graph, a2.graph
     lo, hi = g1.f_range()
-    scale = max(1.0, g1.total_mass * max(1.0, hi - lo))
-    if tol_circ is None:
-        tol_circ = 1e-6 * scale
-    if tol_xi is None:
-        tol_xi = 1e-6 * scale
+    tol = 1e-6 * max(1.0, g1.total_mass * max(1.0, hi - lo))
 
     for e in g1.solid_edges():
         t1, h1 = a1.circulation.limits[e.id]
         t2, h2 = a2.circulation.limits[iso.edge_map[e.id]]
-        if abs(t1 - t2) > tol_circ or abs(h1 - h2) > tol_circ:
+        if abs(t1 - t2) > tol or abs(h1 - h2) > tol:
             return GraphIsomorphism(
                 iso.vertex_map,
                 iso.edge_map,
@@ -298,7 +292,7 @@ def match_augmented(
                     Obstruction("XI", "transported cycle outside the partner basis span"),
                 )
             value = float(sum(float(cf) * c2 for cf, c2 in zip(sol, a2.xi.coords)))
-            if abs(value - float(coord)) > tol_xi:
+            if abs(value - float(coord)) > tol:
                 return GraphIsomorphism(
                     iso.vertex_map,
                     iso.edge_map,

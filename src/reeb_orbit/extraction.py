@@ -12,14 +12,16 @@ Monte Carlo samples.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError, InsufficientSamples, NotSimpleMorse, UnclassifiableTransition
 from .levels import (
-    DSU,
     LevelComponent,
     SlabLabels,
     crossing_param,
@@ -38,7 +40,7 @@ from .reebgraph import (
     ReebVertex,
     transition,
 )
-from .surface import EdgeKey, PLSurface, validate_simple_morse
+from .surface import PLSurface, validate_simple_morse
 
 # -- vertex type lookup ---------------------------------------------------------
 
@@ -119,6 +121,17 @@ class ExtractionContext:
 # -- vectorized clipped areas ----------------------------------------------------
 
 
+# the normal range of doubles: a product b * c outside it has overflowed or
+# lost digits, and a / b * a / c stands in for a**2 / (b * c)
+_NORMAL = (sys.float_info.min, sys.float_info.max)
+
+
+def _square_ratio(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a**2 / (b * c) for 0 <= a <= b <= c, at any scale of the field."""
+    d = b * c
+    return np.where((d >= _NORMAL[0]) & (d <= _NORMAL[1]), a**2 / d, (a / b) * (a / c))
+
+
 def _frac_below(vals: np.ndarray, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Fraction of a triangle's area below a level, per (level, triangle)
     cell: ``cells`` holds the cells' triangles as columns of ``vals``, whose
@@ -130,15 +143,13 @@ def _frac_below(vals: np.ndarray, cells: np.ndarray, t: np.ndarray) -> np.ndarra
     frac = (t >= top).astype(float)
     inside = (t > f1[cells]) & (t < top)
     low = t <= f2[cells]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         i = np.flatnonzero(inside & low)
         lo, mid, hi = vals[:, cells[i]]
-        d = (mid - lo) * (hi - lo)
-        frac[i] = np.where(d > 0.0, (t[i] - lo) ** 2 / np.where(d > 0, d, 1.0), 0.0)
+        frac[i] = _square_ratio(t[i] - lo, mid - lo, hi - lo)
         i = np.flatnonzero(inside & ~low)
         lo, mid, hi = vals[:, cells[i]]
-        d = (hi - mid) * (hi - lo)
-        frac[i] = np.where(d > 0.0, 1.0 - (hi - t[i]) ** 2 / np.where(d > 0, d, 1.0), 1.0)
+        frac[i] = 1.0 - _square_ratio(hi - t[i], hi - mid, hi - lo)
     return frac
 
 
@@ -261,8 +272,9 @@ def _witness(s: PLSurface) -> tuple[
     # the event component of critical level j holds the star of its vertex
     event_roots = event_labels.roots[event_labels.nodes(range(m), s.star_tri[crit_idx])].tolist()
 
-    # events and pass-through gluing
-    dsu = DSU()
+    # events, and the one band component that each pass-through component
+    # continues into across the critical level above it
+    glued: dict[tuple[int, int], tuple[int, int]] = {}
     events: list[tuple[list[int], list[int]]] = []  # (below, above) per critical level
     for j in range(m):
         groups: dict[int, tuple[list[int], list[int]]] = {}
@@ -285,17 +297,7 @@ def _witness(s: PLSurface) -> tuple[
                 raise UnclassifiableTransition(
                     f"critical level {j}: style flips without an event"
                 )
-            dsu.union((j - 1, b), (j, a))
-
-    # edge classes
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j, comps in enumerate(band_components):
-        for ci in range(len(comps)):
-            classes.setdefault(dsu.find((j, ci)), []).append((j, ci))
-    for members in classes.values():  # each in (band, component) order
-        bands = [b for b, _ in members]
-        if bands != list(range(bands[0], bands[-1] + 1)):
-            raise UnclassifiableTransition("edge family skips a band")
+            glued[(j - 1, b)] = (j, a)
 
     # vertex objects; critical level j is vertex j + 1
     def counts(j: int, indices: list[int]) -> tuple[int, int]:
@@ -307,15 +309,18 @@ def _witness(s: PLSurface) -> tuple[
         vtype, orientation = classify_level_transition(counts(j - 1, below), counts(j, above))
         graph_vertices.append(ReebVertex(j + 1, crit_vals[j], vtype, orientation))
 
-    # edges, deterministically ordered
+    # each edge is the chain, one band per link, from a component that nothing
+    # continues into; every link kept its style, so the first member's is the edge's
+    continued = set(glued.values())
     edge_specs = []
-    for members in classes.values():
-        tail, head = members[0][0] + 1, members[-1][0] + 2
-        style_flags = {band_components[j][ci].is_circle for j, ci in members}
-        if len(style_flags) != 1:
-            raise UnclassifiableTransition("edge family changes style between bands")
-        style = "solid" if style_flags.pop() else "dashed"
-        edge_specs.append((tail, head, members, style))
+    for j, comps in enumerate(band_components):
+        for ci, comp in enumerate(comps):
+            if (j, ci) not in continued:
+                members = [(j, ci)]
+                while members[-1] in glued:
+                    members.append(glued[members[-1]])
+                style = "solid" if comp.is_circle else "dashed"
+                edge_specs.append((j + 1, members[-1][0] + 2, members, style))
     edge_specs.sort(key=lambda spec: (spec[0], spec[1], spec[2][0]))
 
     edge_members = {eid: spec[2] for eid, spec in enumerate(edge_specs, start=1)}
@@ -380,40 +385,27 @@ def _cyclic_order_walk(
                 continue
             in_event = ci in event_indices
             eid = ctx.edge_of_component(level, comp) if in_event else None
-            start = (comp.start_key, level)
-            end = (comp.end_key, level)
-            if is_upper:
-                pstart, pend = start, end
-            else:
-                pstart, pend = end, start
-            lids.append((eid, in_event, pstart, pend))
+            ends = ((comp.start_key, level), (comp.end_key, level))
+            lids.append((eid, in_event, *(ends if is_upper else ends[::-1])))
 
+    # every lid end by polygon, then position along it; the end after each one
+    # on its polygon, cyclically, is where the boundary arc from it leads
     positions = level_tables(s).boundary_positions
-    markers: dict[int, list[tuple[float, int, str]]] = {}
-    marker_sort: dict[tuple[EdgeKey, float], tuple[int, float]] = {}
-    for (key, level) in {p for lid in lids for p in (lid[2], lid[3])}:
-        if key not in positions:
-            raise UnclassifiableTransition(
-                f"level component endpoint on interior edge {key}"
-            )
-        p, i, (u, v) = positions[key]
-        t = crossing_param(s, key, level)
-        if (u, v) != key:
-            t = 1.0 - t
-        marker_sort[(key, level)] = (p, i + t)
-    for li, (eid, in_event, pstart, pend) in enumerate(lids):
-        for point, role in ((pstart, "start"), (pend, "end")):
-            p, pos = marker_sort[point]
-            markers.setdefault(p, []).append((pos, li, role))
-    for lst in markers.values():
-        lst.sort()
-
-    def successor(point: tuple[EdgeKey, float]) -> tuple[int, str]:
-        p, pos = marker_sort[point]
-        lst = markers[p]
-        idx = next(i for i, (q, _, _) in enumerate(lst) if q == pos)
-        _, li, role = lst[(idx + 1) % len(lst)]
-        return li, role
+    ends = []  # (polygon, position, lid index, role)
+    for li, (_, _, pstart, pend) in enumerate(lids):
+        for (key, level), role in ((pstart, "start"), (pend, "end")):
+            if key not in positions:
+                raise UnclassifiableTransition(
+                    f"level component endpoint on interior edge {key}"
+                )
+            p, i, (u, v) = positions[key]
+            t = crossing_param(s, key, level)
+            ends.append((p, i + (t if (u, v) == key else 1.0 - t), li, role))
+    ends.sort()
+    successor: dict[tuple[int, str], tuple[int, str]] = {}
+    for _, polygon_ends in itertools.groupby(ends, key=itemgetter(0)):
+        ring = [end[2:] for end in polygon_ends]
+        successor.update(zip(ring, ring[1:] + ring[:1]))
 
     event_lids = [li for li, lid in enumerate(lids) if lid[1]]
     if not event_lids:
@@ -423,7 +415,7 @@ def _cyclic_order_walk(
     li = start_li
     while True:
         order.append(lids[li][0])
-        nxt, role = successor(lids[li][3])
+        nxt, role = successor[li, "end"]
         if not lids[nxt][1] or role != "start":
             raise UnclassifiableTransition(
                 "slab boundary walk left the event component; orientation data "

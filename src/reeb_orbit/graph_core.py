@@ -39,10 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidGraph, NonIntegerFormulaValue, TopologyError
+from .errors import InvalidGraph, NonIntegerFormulaValue
 from .levels import DSU
 from .reebgraph import AS_IN_TABLE, MeasuredReebGraph
-from .surface import TopologySummary
+from .surface import TopologySummary, orientable_genus
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,7 @@ def handle_genus(g: MeasuredReebGraph, b: int) -> int:
         if v.vtype == "IV":
             iv_order(g, v.id)
     chi = sum(_HANDLE_CHI[v.vtype][v.orientation != AS_IN_TABLE] for v in g.vertices)
-    two_g = 2 - chi - b
-    if two_g < 0 or two_g % 2 != 0:
-        raise TopologyError(f"chi={chi}, b={b} is not an orientable surface")
-    return two_g // 2
+    return orientable_genus(chi, b)
 
 
 def genus(g: MeasuredReebGraph, method: str = "realize") -> int:
@@ -322,13 +319,11 @@ class CompatibilityResult:
     failures: tuple[str, ...]
 
 
-def compatibility(
-    g: MeasuredReebGraph, t: TopologySummary, rel_tol: float = 1e-9
-) -> CompatibilityResult:
+def compatibility(g: MeasuredReebGraph, t: TopologySummary) -> CompatibilityResult:
     """Whether the graph can live on a surface with the given topology.
 
     Checks genus, boundary component count (via boundary cycles), and total
-    measure against total area.
+    measure against total area, to a relative 1e-9.
     """
     failures = []
     g.validate()
@@ -337,7 +332,7 @@ def compatibility(
         failures.append("genus")
     if b != t.boundary_component_count:
         failures.append("boundary_components")
-    if not math.isclose(g.total_mass, t.total_area, rel_tol=rel_tol, abs_tol=0.0):
+    if not math.isclose(g.total_mass, t.total_area, rel_tol=1e-9, abs_tol=0.0):
         failures.append("total_measure")
     return CompatibilityResult(not failures, tuple(failures))
 

@@ -137,13 +137,15 @@ def level_tables(s: PLSurface) -> LevelTables:
     tables = getattr(s, "_level_tables", None)
     if tables is None:
         sorted_f = np.sort(s.f[s.triangles], axis=1).T.copy()
-        edge_f = s.f[s.interior_ends]
+        # the ends and the triangle pair of each interior edge, in edge order
+        interior = s.edge_rows[s.edge_rows[:, 3] >= 0]
+        edge_f = s.f[interior[:, :2]]
         tables = LevelTables(
             values=np.unique(s.f),
             sorted_f=sorted_f,
             fmin=sorted_f[0],
             fmax=sorted_f[2],
-            adj=s.interior_tris,
+            adj=interior[:, 2:].astype(np.int32),
             adj_fmin=edge_f.min(axis=1),
             adj_fmax=edge_f.max(axis=1),
             boundary_positions={

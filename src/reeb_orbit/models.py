@@ -56,9 +56,10 @@ def _from_grid(
     return _surface(points, fvals, tris, [_euclid_area(points, *t) for t in tris])
 
 
-def disk_mesh(rings: int = 10, sectors: int = 24) -> PLSurface:
-    """Unit disk with f = x.  Ring angles are offset so no two vertices share
-    an x coordinate."""
+def disk_mesh() -> PLSurface:
+    """Unit disk with f = x, on 10 rings of 24 sectors.  Ring angles are
+    offset so no two vertices share an x coordinate."""
+    rings, sectors = 10, 24
     points: list[tuple[float, float]] = [(0.0, 0.0)]
     fvals = [0.0]
     ring_start = [None]
@@ -87,8 +88,10 @@ def disk_mesh(rings: int = 10, sectors: int = 24) -> PLSurface:
     return _surface(points, fvals, tris, [_euclid_area(points, *t) for t in tris])
 
 
-def annulus_mesh(rings: int = 6, sectors: int = 40, r_in: float = 1.0, r_out: float = 2.0) -> PLSurface:
-    """Annulus with f = x; four boundary critical points, sigma = 2."""
+def annulus_mesh() -> PLSurface:
+    """Annulus 1 <= r <= 2 with f = x, on 6 rings of 40 sectors; four boundary
+    critical points, sigma = 2."""
+    rings, sectors, r_in, r_out = 6, 40, 1.0, 2.0
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
     offset = 0.21
@@ -164,13 +167,13 @@ def dumbbell_sphere_mesh(bands: int = 36, sectors: int = 36) -> PLSurface:
     return PLSurface(list(s.vertex_ids), f, s.triangles.copy(), s.areas.copy(), s.xy.copy())
 
 
-def tilted_cylinder_mesh(sectors: int = 48, levels: int = 30, amp: float = 0.25) -> PLSurface:
-    """Flat cylinder (circumference 1) with f = axial + amp*sin(angle).
+def tilted_cylinder_mesh(sectors: int = 48, levels: int = 30) -> PLSurface:
+    """Flat cylinder (circumference 1) with f = axial + amp*sin(angle), amp = 0.25.
 
     Reeb graph: boundary minimum, segment closing into a circle, one long
     solid edge, and the mirrored pair at the top.
     """
-    height = 2.0
+    height, amp = 2.0, 0.25
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
     for j in range(levels + 1):
@@ -185,13 +188,14 @@ def tilted_cylinder_mesh(sectors: int = 48, levels: int = 30, amp: float = 0.25)
     return _surface(points, fvals, tris, [cell / 2.0] * len(tris))
 
 
-def parabolic_strip_mesh(nx: int = 48, ny: int = 36, width: float = 1.0, height: float = 0.8) -> PLSurface:
-    """Rectangle 0 <= q <= height, |p| <= width with f = q + p^2 + eps*p.
+def parabolic_strip_mesh(nx: int = 48, ny: int = 36) -> PLSurface:
+    """Rectangle 0 <= q <= height, |p| <= width with f = q + p^2 + eps*p,
+    width = 1 and height = 0.8.
 
     The bottom-center vertex is a boundary minimum whose accumulated area
     grows like (4/3) t^{3/2}; the q grid is graded towards q = 0.
     """
-    eps = 1e-4
+    eps, width, height = 1e-4, 1.0, 0.8
     points: list[tuple[float, float]] = []
     fvals: list[float] = []
     for j in range(ny + 1):
@@ -218,14 +222,7 @@ def pq_square_mesh(n: int = 48) -> PLSurface:
     return _from_grid(points, fvals, n, n)
 
 
-def torus_with_hole_mesh(
-    sectors: int = 44,
-    rings: int = 12,
-    hole_theta: float = 0.5236,
-    hole_phi: float = math.pi / 2.0,
-    rho_theta: float = 0.45,
-    rho_phi: float = 0.8,
-) -> PLSurface:
+def torus_with_hole_mesh() -> PLSurface:
     """Vertical torus (R=1, r=0.5) with height field and a smooth elliptical
     hole around a regular point on the upper side of the tube.
 
@@ -236,8 +233,9 @@ def torus_with_hole_mesh(
     minimum, circle-splitting saddle, circle-to-segment vertex, a saddle with
     one solid and two dashed legs, segment-to-circle vertex, elliptic maximum.
     """
-    if sectors % 4 != 0:
-        raise ValueError("sectors must be a multiple of 4")
+    sectors, rings = 44, 12  # sectors is a multiple of 4: m per side of the square
+    # the hole's centre (theta, phi) on the fundamental square and its radii
+    hole_theta, hole_phi, rho_theta, rho_phi = 0.5236, math.pi / 2.0, 0.45, 0.8
     R, r = 1.0, 0.5
     eps1, eps2 = 0.011, 0.004
     m = sectors // 4

@@ -224,6 +224,7 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
     return RealizationResult(b.finish())
 
 
-def surface_of(g: MeasuredReebGraph, resolution: int = 8) -> TopologySummary:
-    """Topology of the realizing surface; backend of the realized genus."""
-    return topology_summary(realize(g, resolution=resolution).surface)
+def surface_of(g: MeasuredReebGraph) -> TopologySummary:
+    """Topology of the realizing surface at the default resolution; backend of
+    the realized genus."""
+    return topology_summary(realize(g).surface)

@@ -88,10 +88,6 @@ class MeasureProfile:
         increments = np.diff(np.interp(x, grid, self.cumulative))
         return math.fsum((midpoints(x[:-1], x[1:]) * increments).tolist())
 
-    def moment(self) -> float:
-        """``partial_moment`` over the whole edge."""
-        return ProfileTable([self]).moments()[0]
-
     def check(self) -> None:
         if len(self.cumulative) < 2:
             raise InvalidGraph("profile needs at least two samples")

@@ -119,10 +119,6 @@ class PLSurface:
         self.on_boundary = np.zeros(nv, dtype=bool)
         self.on_boundary[boundary[:, 0]] = True
         self.boundary_polygons = _boundary_polygons(nv, boundary)
-        # ends and triangle pair of each interior edge, in edge order
-        interior = self.edge_rows[:, 3] >= 0
-        self.interior_ends = self.edge_rows[interior, :2].astype(np.int32)
-        self.interior_tris = self.edge_rows[interior, 2:].astype(np.int32)
         self.total_area = float(math.fsum(self.areas.tolist()))
 
     @cached_property
@@ -403,22 +399,20 @@ class TopologySummary:
     genus: int
     total_area: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "euler_characteristic": self.euler_characteristic,
-            "boundary_component_count": self.boundary_component_count,
-            "genus": self.genus,
-            "total_area": self.total_area,
-        }
+
+def orientable_genus(chi: int, b: int) -> int:
+    """Genus of the orientable surface with Euler characteristic chi and b
+    boundary components: (2 - chi - b) / 2, which must be a whole number >= 0."""
+    two_g = 2 - chi - b
+    if two_g < 0 or two_g % 2 != 0:
+        raise TopologyError(f"chi={chi}, b={b} is not an orientable surface")
+    return two_g // 2
 
 
 def topology_summary(s: PLSurface) -> TopologySummary:
     chi = len(s.vertex_ids) - len(s.edge_rows) + len(s.triangles)
     b = len(s.boundary_polygons)
-    two_g = 2 - chi - b
-    if two_g < 0 or two_g % 2 != 0:
-        raise TopologyError(f"chi={chi}, b={b} is not an orientable surface")
-    return TopologySummary(chi, b, two_g // 2, s.total_area)
+    return TopologySummary(chi, b, orientable_genus(chi, b), s.total_area)
 
 
 # -- test transformations -----------------------------------------------------

@@ -72,6 +72,19 @@ def test_circulation_solve(capsys):
     assert doc["exists"] is True and doc["homogeneous_dimension"] == 1
 
 
+@pytest.mark.parametrize(
+    "extra, what",
+    [(["fig4a.json", "--tol", "5"], "a data file"), (["fig4a.json"], "a data file"), (["--tol", "5"], "--tol")],
+)
+def test_circulation_solve_refuses_what_it_does_not_read(capsys, extra, what):
+    # solve ignored both and exited 0, so a data file or a tolerance given to
+    # it did nothing
+    argv = [str(DATA / x) if x.endswith(".json") else x for x in extra]
+    code, out, _ = run(capsys, "circulation", "solve", str(DATA / "fig2.json"), *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "ReebOrbitError", "message": f"circulation solve takes no {what}"}
+
+
 def test_circulation_check(capsys, tmp_path):
     code, out, _ = run(capsys, "circulation", "solve", str(DATA / "fig2.json"))
     particular = json.loads(out)["particular"]
@@ -424,12 +437,8 @@ def test_circulation_with_an_overflowing_scale_exits_2(capsys, tmp_path, field, 
     [
         # the band midpoint overflowed to inf and extraction raised KeyError
         (1e308, "edge 1: field range from -1e+308 to 1e+308 is not finite"),
-        # the range is finite, the clipped triangle areas are not
-        (1e300, "profile samples must be finite"),
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_extract_with_an_overflowing_field_exits_2(capsys, tmp_path, top, message):
     def edit(doc):
         scale = max(abs(v["f"]) for v in doc["vertices"])
@@ -439,6 +448,21 @@ def test_extract_with_an_overflowing_field_exits_2(capsys, tmp_path, top, messag
     code, out, _ = run(capsys, "extract", str(_edited_copy(tmp_path, "disk_linear.json", edit)))
     assert code == 2
     assert json.loads(out) == {"error": "DataError", "message": message}
+
+
+def test_extract_near_the_top_of_double_range_measures_the_field(capsys, tmp_path):
+    # at max |f| = 1e300 the products of the clipped-area formula overflowed,
+    # and extract exited 2 with "profile samples must be finite"
+    def edit(doc):
+        scale = max(abs(v["f"]) for v in doc["vertices"])
+        for v in doc["vertices"]:
+            v["f"] = v["f"] / scale * 1e300
+
+    code, out, _ = run(capsys, "extract", str(_edited_copy(tmp_path, "disk_linear.json", edit)))
+    assert code == 0
+    _, plain, _ = run(capsys, "extract", str(DATA / "disk_linear.json"))
+    for got, want in zip(json.loads(out)["edges"], json.loads(plain)["edges"], strict=True):
+        assert np.allclose(got["cumulative"], want["cumulative"], rtol=0.0, atol=1e-12 * want["mass"])
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,13 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reeb_orbit
@@ -528,3 +529,39 @@ def test_scaled_meshes_print_json_or_exit_2(tmp_path_factory, name, k_f, k_area)
             code = cli.main(argv)
         printed = orjson.loads(out.getvalue())
         assert code in (0, 1) or (code == 2 and printed["error"]), (argv, out.getvalue()[:500])
+
+
+@functools.cache
+def _extracted(name, k_f):
+    """(exit code, printed document) of extract --samples 8 on the mesh with f * 10**k_f."""
+    doc = copy.deepcopy(_mesh_doc(name))
+    for v in doc["vertices"]:
+        v["f"] *= 10.0**k_f
+    with tempfile.TemporaryDirectory() as work:
+        mesh = Path(work) / "mesh.json"
+        mesh.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["extract", str(mesh), "--samples", "8"])
+    return code, orjson.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(MESH_FIXTURES), st.integers(-300, 305))
+@example("fig2.json", 170)
+@example("fig2.json", -200)
+def test_scaled_fields_extract_the_unscaled_profiles(name, k_f):
+    # a profile is the area below each level, which no scale of the field
+    # changes: extract prints the unscaled profiles to within 1e-12 of each
+    # edge's mass, or exits 2 naming a field range beyond double range
+    code, graph = _extracted(name, k_f)
+    if code == 2:
+        assert graph["error"] == "DataError"
+        assert re.fullmatch(r"edge \d+: field range from \S+ to \S+ is not finite", graph["message"])
+        return
+    assert code == 0
+    _, plain = _extracted(name, 0)
+    for got, want in zip(graph["edges"], plain["edges"], strict=True):
+        assert (got["tail"], got["head"], got["style"]) == (want["tail"], want["head"], want["style"])
+        gap = np.max(np.abs(np.subtract(got["cumulative"], want["cumulative"])))
+        assert gap <= 1e-12 * want["mass"], (got["id"], gap / want["mass"])
