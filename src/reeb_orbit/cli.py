@@ -81,7 +81,7 @@ def cmd_compare(args) -> int:
 def cmd_circulation(args) -> int:
     g = _read_graph(args.graph)
     if args.action == "solve":
-        for given, what in ((args.data is not None, "a data file"), (args.tol is not None, "--tol")):
+        for given, what in ((args.data is not None, "data file"), (args.tol is not None, "--tol")):
             if given:
                 raise ReebOrbitError(f"circulation solve takes no {what}")
         res = circulation.solve_circulations(g)

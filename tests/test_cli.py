@@ -74,7 +74,7 @@ def test_circulation_solve(capsys):
 
 @pytest.mark.parametrize(
     "extra, what",
-    [(["fig4a.json", "--tol", "5"], "a data file"), (["fig4a.json"], "a data file"), (["--tol", "5"], "--tol")],
+    [(["fig4a.json", "--tol", "5"], "data file"), (["fig4a.json"], "data file"), (["--tol", "5"], "--tol")],
 )
 def test_circulation_solve_refuses_what_it_does_not_read(capsys, extra, what):
     # solve ignored both and exited 0, so a data file or a tolerance given to
