@@ -136,18 +136,23 @@ def level_tables(s: PLSurface) -> LevelTables:
     """
     tables = getattr(s, "_level_tables", None)
     if tables is None:
-        sorted_f = np.sort(s.f[s.triangles], axis=1).T.copy()
+        # a sorting network of column minima and maxima; np.minimum and
+        # np.maximum return their second argument on a tie, so equal values
+        # keep their corner order, as in a stable sort, signed zeros included
+        a, b, c = s.f[s.triangles.T]
+        lo, hi = np.minimum(b, a), np.maximum(a, b)
+        sorted_f = np.stack([np.minimum(c, lo), np.maximum(lo, np.minimum(c, hi)), np.maximum(hi, c)])
         # the ends and the triangle pair of each interior edge, in edge order
         interior = s.edge_rows[s.edge_rows[:, 3] >= 0]
-        edge_f = s.f[interior[:, :2]]
+        u, v = s.f[interior[:, 0]], s.f[interior[:, 1]]
         tables = LevelTables(
             values=np.unique(s.f),
             sorted_f=sorted_f,
             fmin=sorted_f[0],
             fmax=sorted_f[2],
             adj=interior[:, 2:].astype(np.int32),
-            adj_fmin=edge_f.min(axis=1),
-            adj_fmax=edge_f.max(axis=1),
+            adj_fmin=np.minimum(u, v),
+            adj_fmax=np.maximum(u, v),
             boundary_positions={
                 edge_key(*directed): (p, i, directed)
                 for p, chain in enumerate(s.boundary_polygons)

@@ -168,8 +168,10 @@ def augmented_from_dict(doc: dict[str, Any]):
 def _edge_keys(surface: PLSurface) -> tuple[list[str], np.ndarray]:
     """The one-form key 'u-v' of each mesh edge, vertex ids u < v, and
     whether it runs against the edge's direction in ``edge_rows``."""
-    ids = np.asarray(surface.vertex_ids)[surface.edge_rows[:, :2]]
-    return [f"{u}-{v}" for u, v in np.sort(ids, axis=1).tolist()], ids[:, 0] > ids[:, 1]
+    ids = np.asarray(surface.vertex_ids)
+    u, v = ids[surface.edge_rows[:, 0]], ids[surface.edge_rows[:, 1]]
+    keys = zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist())
+    return [f"{a}-{b}" for a, b in keys], u > v
 
 
 def oneform_to_dict(form) -> dict[str, Any]:

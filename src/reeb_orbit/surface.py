@@ -63,8 +63,9 @@ class PLSurface:
     Mesh edges are numbered once, in order of their (u, v) index pairs,
     u < v: ``edge_rows[e]`` is (u, v, first triangle, second triangle or -1)
     and ``edge_of[3t+i]`` the edge of side i of triangle t, from corner i to
-    corner i+1.  The derived incidence structures are built eagerly, and the
-    surface is treated as immutable afterwards.
+    corner i+1; ``boundary_edges`` holds the boundary edges, each directed
+    with the surface on its left.  The derived incidence structures are built
+    eagerly, and the surface is treated as immutable afterwards.
     """
 
     vertex_ids: list[int]
@@ -113,12 +114,12 @@ class PLSurface:
 
     def _build_incidence(self) -> None:
         nv = len(self.vertex_ids)
-        self.edge_rows, boundary, self.star_tri, self.twin, self.edge_of = (
+        self.edge_rows, self.boundary_edges, self.star_tri, self.twin, self.edge_of = (
             _half_edge_incidence(self.triangles, self.vertex_ids)
         )
         self.on_boundary = np.zeros(nv, dtype=bool)
-        self.on_boundary[boundary[:, 0]] = True
-        self.boundary_polygons = _boundary_polygons(nv, boundary)
+        self.on_boundary[self.boundary_edges[:, 0]] = True
+        self.boundary_polygons = _boundary_polygons(nv, self.boundary_edges)
         self.total_area = float(math.fsum(self.areas.tolist()))
 
     @cached_property
@@ -220,7 +221,10 @@ def _half_edge_incidence(
         raise TopologyError(f"non-manifold star at vertex {ids[v]}")
 
     edges = np.column_stack([ends, first // 3, np.where(sides == 2, second // 3, -1)])
-    star_tri = np.unique(src, return_index=True)[1] // 3
+    # every vertex has a corner, by the star check
+    star_tri = np.full(nv, len(src))
+    np.minimum.at(star_tri, src, np.arange(len(src)))
+    star_tri //= 3
     twin = np.full(len(order), -1, dtype=np.int32)
     paired = sides == 2
     twin[first[paired]] = second[paired] // 3
@@ -328,9 +332,7 @@ def validate_simple_morse(s: PLSurface) -> ValidationReport:
     # neighbours lie on one side)
     first = np.empty(nv, dtype=int)
     first[v] = a
-    steps = [d for chain in s.boundary_polygons for d in chain]
-    steps = np.array(steps, dtype=int).reshape(-1, 2)
-    first[steps[:, 0]] = steps[:, 1]
+    first[s.boundary_edges[:, 0]] = s.boundary_edges[:, 1]
     up = _above(s.f, first, np.arange(nv))
     irregular = np.flatnonzero(changes != np.where(s.on_boundary, 1, 2))
 
@@ -516,7 +518,8 @@ def _triangle_columns(
 ) -> Optional[tuple[bool, np.ndarray, np.ndarray]]:
     """Whether every entry has three corners, the corner positions (flat) and
     the areas of triangle entries, or None when an entry is bad.  A corner is
-    found in the ids sorted by ``order``."""
+    found in the ids sorted by ``order``, by one search of the distinct
+    corner ids in ascending order."""
     try:
         corners, areas = json_records(entries, {"v": JSON_ARRAY, "area": JSON_NUMBER}, "triangle")
     except ParseError:
@@ -524,7 +527,8 @@ def _triangle_columns(
     flat = json_column([*chain.from_iterable(corners)], JSON_INT)
     if flat is None or (flat.size and not sorted_ids.size):
         return None
-    at = np.searchsorted(sorted_ids, flat).clip(max=max(len(sorted_ids) - 1, 0))
+    distinct, inverse = np.unique(flat, return_inverse=True)
+    at = np.searchsorted(sorted_ids, distinct).clip(max=max(len(sorted_ids) - 1, 0))[inverse]
     if not np.array_equal(sorted_ids[at], flat):
         return None
     return set(map(len, corners)) <= {3}, order[at], areas

@@ -22,7 +22,7 @@ from reeb_orbit import (
     topology_summary,
     validate_simple_morse,
 )
-from reeb_orbit import cli, extraction, levels, realize
+from reeb_orbit import cli, extraction, levels, realize, serialize, surface
 from reeb_orbit.circulation import dashed_cycle_basis, solve_circulations
 from reeb_orbit.fuzz import random_measured_graph
 from reeb_orbit.levels import (
@@ -514,6 +514,59 @@ def test_level_kernels_match_reference_loops(name):
         assert dict(sorted(chords.items())) == reference_chords(s, t)
 
 
+def _pin_case(name):
+    """A kernel case, or the refined fuzz20000 mesh with a field of few
+    values: 0.0, 1.0 and 2.0 ("ties"), or -1.0, -0.0, 0.0 and 1.0
+    ("signed-zeros"), so that triangles hold tied corners."""
+    if name not in ("ties", "signed-zeros"):
+        return _kernel_case(name)
+    s = _kernel_case("fuzz20000-refined")
+    choices = [0.0, 1.0, 2.0] if name == "ties" else [-1.0, -0.0, 0.0, 1.0]
+    f = np.random.default_rng(3).choice(choices, len(s.f))
+    return PLSurface(list(s.vertex_ids), f, s.triangles, s.areas)
+
+
+def _same_floats(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES + ["ties", "signed-zeros"])
+def test_mesh_kernels_match_the_forms_they_replace(name):
+    # the sorting network, the column extents, the star triangles, the corner
+    # lookup and the one-form keys give the very arrays of the short-axis
+    # sort and reductions, np.unique and the unsorted search, bit for bit:
+    # tied corners keep their order, as in a stable sort, signed zeros included
+    s = _pin_case(name)
+    tables = level_tables(s)
+    want = np.sort(s.f[s.triangles], axis=1).T
+    assert np.array_equal(tables.sorted_f, want)
+    assert _same_floats(tables.sorted_f, np.sort(s.f[s.triangles], axis=1, kind="stable").T.copy())
+    assert _same_floats(tables.fmin, want[0].copy()) and _same_floats(tables.fmax, want[2].copy())
+    interior = s.edge_rows[s.edge_rows[:, 3] >= 0]
+    edge_f = s.f[interior[:, :2]]
+    assert _same_floats(tables.adj_fmin, edge_f.min(axis=1))
+    assert _same_floats(tables.adj_fmax, edge_f.max(axis=1))
+    src = s.triangles.astype(np.int32).ravel()
+    assert np.array_equal(s.star_tri, np.unique(src, return_index=True)[1] // 3)
+    if name in ("ties", "signed-zeros"):
+        assert np.signbit(s.f).any() == (name == "signed-zeros")
+        assert (tables.sorted_f[0] == tables.sorted_f[1]).any()
+    # corner lookup of shuffled ids, against the search of each corner in turn
+    rng = np.random.default_rng(11)
+    ids = rng.permutation(np.arange(-len(s.vertex_ids), len(s.vertex_ids)))[: len(s.vertex_ids)]
+    doc = PLSurface(ids.tolist(), s.f, s.triangles, s.areas).to_dict()
+    order = np.argsort(ids)
+    flat = ids[s.triangles].ravel()
+    want_at = order[np.searchsorted(ids[order], flat).clip(max=len(ids) - 1)]
+    columns = surface._triangle_columns(doc["triangles"], ids[order], order)
+    assert columns[0] and np.array_equal(columns[1], want_at)
+    assert np.array_equal(surface.load_mesh(doc).triangles, want_at.reshape(-1, 3))
+    keys, flipped = serialize._edge_keys(surface.load_mesh(doc))
+    pairs = ids[s.edge_rows[:, :2]]
+    assert keys == [f"{u}-{v}" for u, v in np.sort(pairs, axis=1).tolist()]
+    assert np.array_equal(flipped, pairs[:, 0] > pairs[:, 1])
+
+
 def searchsorted_slab_labels(s, cuts):
     """The slab labelling as first vectorized: nodes sorted slab-major and
     each link's two nodes found by a binary search over all of them."""
@@ -746,8 +799,10 @@ def test_extraction_peak_memory_is_bounded():
     # the blocks of (level, triangle) cells and the two slab passes hold
     # extraction's traced peak on a refined benchmark-sized mesh (T = 2916)
     # within 10% of the 1.084 MB that region-by-region integration and one
-    # pass per slab took
+    # pass per slab took; a small extraction first pays the first-call
+    # allocations, so that the peak does not depend on which tests ran before
     s = remap(realize(random_measured_graph(20009), resolution=6).surface, {"kind": "refine"})
+    extract_reeb(realize(random_measured_graph(20000), resolution=4).surface)
     tracemalloc.start()
     try:
         extract_reeb(s, samples=64)
