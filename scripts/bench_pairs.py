@@ -17,15 +17,17 @@ and the pair.  The output file holds every pair's end-to-end metrics, the
 per-side medians and quartiles, the number of pairs in which the change did
 better, whether the medians differ by more than the parent's quartile
 spread, whether the change's median is worse than the metric's bound, each
-side's total of attempted and failed jobs, and the machine (CPUs, Python,
-numpy, scipy, and orjson, which sets the speed of decoding).  It is written
-to CHANGE.
+side's total of attempted and failed jobs, each side's source size (the
+lines of ``src/reeb_orbit/*.py`` and its largest module), and the machine
+(CPUs, Python, numpy, scipy, and orjson, which sets the speed of decoding).
+It is written to CHANGE.
 
 The runs write no bytecode (``PYTHONDONTWRITEBYTECODE=1``), and the script
 refuses to start while either checkout holds a ``__pycache__`` under ``src/``
 or ``benchmark/``: a side that imports cached bytecode starts faster and
 reads less memory than one that compiles its sources, which biases
-``setup_s`` and ``peak_rss_mb``.
+``setup_s`` and ``peak_rss_mb``.  For the same reason both of those follow
+the size of the sources, which the output records.
 
 Standard library only; the runs use this interpreter.
 """
@@ -62,6 +64,15 @@ def run_once(checkout: Path, workload: str, seconds: float) -> dict:
 def bytecode_caches(checkout: Path) -> list[Path]:
     """``__pycache__`` directories under the checkout's src/ and benchmark/."""
     return sorted(p for sub in ("src", "benchmark") for p in (checkout / sub).rglob("__pycache__"))
+
+
+def source_size(checkout: Path) -> dict:
+    """Lines of the checkout's ``src/reeb_orbit/*.py`` and its largest
+    module, which every run compiles."""
+    lines = {p.name: len(p.read_bytes().splitlines()) for p in (checkout / "src" / "reeb_orbit").glob("*.py")}
+    largest = max(sorted(lines), key=lines.get, default=None)
+    return {"lines": sum(lines.values()),
+            "largest": None if largest is None else {"name": largest, "lines": lines[largest]}}
 
 
 def machine() -> dict:
@@ -140,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": seconds,
         "pairs_per_workload": args.pairs,
         "machine": machine(),
+        "source": {side: source_size(checkout) for side, checkout in checkouts.items()},
         "workloads": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):

@@ -136,14 +136,7 @@ def _finite_moments(g: MeasuredReebGraph) -> dict[int, float]:
 def _solid_only_stars(g: MeasuredReebGraph) -> dict[int, tuple[list[ReebEdge], list[ReebEdge]]]:
     """(in-edges, out-edges) of each vertex that touches no dashed edge, in
     vertex order, with edges in graph order."""
-    grounded = {v for e in g.dashed_edges() for v in (e.tail, e.head)}
-    stars = {v.id: ([], []) for v in g.vertices if v.id not in grounded}
-    for e in g.edges:
-        if e.head in stars:
-            stars[e.head][0].append(e)
-        if e.tail in stars:
-            stars[e.tail][1].append(e)
-    return stars
+    return {vid: (sin, sout) for vid, (din, dout, sin, sout) in g.incidence.items() if not din and not dout}
 
 
 def check_circulation(

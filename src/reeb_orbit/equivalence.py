@@ -82,14 +82,17 @@ def _cyclically_equal(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return any(doubled[i : i + len(a)] == a for i in range(len(b)))
 
 
-def _resampled_gap(e1, e2) -> float:
-    """Max pointwise cumulative gap on the union of both normalized sample grids."""
+def _bracket_gap(e1, e2) -> float:
+    """Pointwise gap of two cumulative profiles at equal sample counts, else
+    the farthest a sample of either lies outside the two samples of the other
+    that bracket its normalized position: the largest drop of both merged."""
     c1, c2 = e1.profile.cumulative, e2.profile.cumulative
-    if len(c1) != len(c2):
-        u1, u2 = np.linspace(0.0, 1.0, len(c1)), np.linspace(0.0, 1.0, len(c2))
-        grid = np.union1d(u1, u2)
-        c1, c2 = np.interp(grid, u1, c1), np.interp(grid, u2, c2)
-    return float(abs(c1 - c2).max())
+    if len(c1) == len(c2):
+        return float(abs(c1 - c2).max())
+    c = np.concatenate((c1, c2))
+    # by normalized position, and at one position the larger sample first
+    c = c[np.lexsort((-c, np.r_[np.linspace(0.0, 1.0, len(c1)), np.linspace(0.0, 1.0, len(c2))]))]
+    return float((np.maximum.accumulate(c) - c).max())
 
 
 def match_measured(
@@ -106,9 +109,7 @@ def match_measured(
     """
     check_tolerances(tol_f=tol_f, tol_mass=tol_mass)
     if tol_f is None:
-        los = [g.f_range() for g in (g1, g2)]
-        rng = max(hi - lo for lo, hi in los)
-        tol_f = 1e-9 * max(1.0, rng)
+        tol_f = 1e-9 * max(hi - lo for lo, hi in (g.f_range() for g in (g1, g2)))
     vm = _forced_vertex_map(g1, g2, tol_f)
     if isinstance(vm, GraphIsomorphism):
         return vm
@@ -180,7 +181,7 @@ def match_measured(
                 return Obstruction(
                     "MEASURE", f"edge {e.id} mass {e.mass!r} vs {e2.mass!r}"
                 )
-            if _resampled_gap(e, e2) > tol_mass * scale:
+            if _bracket_gap(e, e2) > tol_mass * scale:
                 return Obstruction("MEASURE", f"edge {e.id} profile differs")
         return None
 

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidGraph, NonIntegerFormulaValue
-from .levels import DSU
 from .reebgraph import AS_IN_TABLE, MeasuredReebGraph
 from .surface import TopologySummary, orientable_genus
 
@@ -86,9 +85,11 @@ def _orbit(g: MeasuredReebGraph, state: tuple[int, int]) -> list[tuple[int, int]
 def _canonical_cycle(pairs: list[tuple[int, int]]) -> BoundaryCycle:
     """Lexicographically smallest rotation, anchored at (vertex, edge) pairs."""
     n = len(pairs)
-    # pairs[i] = (e_i, v_{i+1}); source vertex of e_i is v_i = pairs[i-1][1]
+    # pairs[i] = (e_i, v_{i+1}); source vertex of e_i is v_i = pairs[i-1][1].
+    # An orbit repeats no (vertex, edge) pair, so the smallest rotation starts
+    # at the smallest pair
     seq = [(pairs[i - 1][1], pairs[i][0]) for i in range(n)]
-    best = min(range(n), key=lambda k: [seq[(k + i) % n] for i in range(n)])
+    best = seq.index(min(seq))
     edges = tuple(pairs[(best + i) % n][0] for i in range(n))
     vertices = tuple(pairs[(best + i - 1) % n][1] for i in range(n))
     return BoundaryCycle(edges, vertices)
@@ -158,20 +159,6 @@ class HomologyDims:
         return self.h1_rel + self.h1_dashed
 
 
-def _subgraph_dims(vertices: set[int], edges: list[tuple[int, int]]) -> tuple[int, int]:
-    """(h0, h1) of a graph given as vertex set plus edge endpoint pairs."""
-    if not vertices:
-        return 0, 0
-    dsu = DSU()
-    for v in sorted(vertices):
-        dsu.find(v)
-    for a, b in edges:
-        dsu.union(a, b)
-    h0 = len({dsu.find(v) for v in vertices})
-    h1 = len(edges) - len(vertices) + h0
-    return h0, h1
-
-
 def homology_dims(g: MeasuredReebGraph) -> HomologyDims:
     """Betti numbers of the graph, its styled subgraphs, and the pair.
 
@@ -179,22 +166,14 @@ def homology_dims(g: MeasuredReebGraph) -> HomologyDims:
     with a connected total graph and nonempty dashed part,
     h1_rel = h1_gamma - h1_dashed + h0_dashed - 1.
     """
-    all_vs = {v.id for v in g.vertices}
-    all_es = [(e.tail, e.head) for e in g.edges]
-    _, h1_gamma = _subgraph_dims(all_vs, all_es)
-
-    solid = g.solid_edges()
-    dashed = g.dashed_edges()
-    solid_vs = {e.tail for e in solid} | {e.head for e in solid}
-    dashed_vs = {e.tail for e in dashed} | {e.head for e in dashed}
-    h0_solid, _ = _subgraph_dims(solid_vs, [(e.tail, e.head) for e in solid])
-    h0_dashed, h1_dashed = _subgraph_dims(dashed_vs, [(e.tail, e.head) for e in dashed])
-    h0_inter = len(solid_vs & dashed_vs)
-
-    if dashed:
-        h1_rel = h1_gamma - h1_dashed + h0_dashed - 1
-    else:
-        h1_rel = h1_gamma
+    stars = g.incidence.values()
+    n_dashed = sum(len(dashed_in) for dashed_in, _, _, _ in stars)
+    dashed_vs = sum(1 for din, dout, _, _ in stars if din or dout)
+    h0_inter = sum(1 for din, dout, sin, sout in stars if (din or dout) and (sin or sout))
+    h0_dashed, h0_solid = g.components("dashed"), g.components("solid")
+    h1_gamma = len(g.edges) - len(stars) + g.components()
+    h1_dashed = n_dashed - dashed_vs + h0_dashed
+    h1_rel = h1_gamma - h1_dashed + h0_dashed - 1 if n_dashed else h1_gamma
     return HomologyDims(h1_gamma, h1_dashed, h1_rel, h0_dashed, h0_solid, h0_inter)
 
 
@@ -219,7 +198,7 @@ def iv_order(g: MeasuredReebGraph, vid: int) -> list[int]:
     orders admit no realization.
     """
     order = list(g.cyclic_orders[vid])
-    ins = sorted(e.id for e in g.dashed_edges_at(vid) if e.head == vid)
+    ins = sorted(e.id for e in g.incidence[vid][0])
     k = order.index(ins[0])
     order = order[k:] + order[:k]
     flags = [g.edge(eid).head == vid for eid in order]
@@ -274,8 +253,7 @@ def genus_formula_value(g: MeasuredReebGraph) -> float:
 
 def _formula_value(g: MeasuredReebGraph, dims: HomologyDims, sig: int) -> float:
     """The closed genus formula, given the graph's homology and sigma."""
-    solid = g.solid_edges()
-    chi_s = len({e.tail for e in solid} | {e.head for e in solid}) - len(solid)
+    chi_s = sum(1 for *_, sin, sout in g.incidence.values() if sin or sout) - len(g.solid_edges())
     chi_d = dims.h0_dashed - dims.h1_dashed
     return (
         -chi_s

@@ -127,10 +127,7 @@ def realize(g: MeasuredReebGraph, resolution: int = 8) -> RealizationResult:
         def new(x_off: float) -> int:
             return b.vertex(c, x0 + x_off, c)
 
-        in_d = sorted((e for e in g.edges if e.head == v.id and e.dashed), key=lambda e: e.id)
-        out_d = sorted((e for e in g.edges if e.tail == v.id and e.dashed), key=lambda e: e.id)
-        in_s = sorted((e for e in g.edges if e.head == v.id and not e.dashed), key=lambda e: e.id)
-        out_s = sorted((e for e in g.edges if e.tail == v.id and not e.dashed), key=lambda e: e.id)
+        in_d, out_d, in_s, out_s = (sorted(es, key=lambda e: e.id) for es in g.incidence[v.id])
 
         def loop(w_loc: Optional[int] = None) -> list[int]:
             if w_loc is None:

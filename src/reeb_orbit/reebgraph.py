@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -54,6 +55,10 @@ _INCIDENCE = {
     if orientation == AS_IN_TABLE or transition(vtype, F_REVERSED) != TRANSITIONS[vtype]
     for cb, sb, ca, sa in [transition(vtype, orientation)]
 }
+
+# the (dashed in, dashed out, solid in, solid out) lists of a vertex that one
+# style's edges fill
+_STYLE_LISTS = {None: (0, 1, 2, 3), "dashed": (0, 1), "solid": (2, 3)}
 
 
 @dataclass
@@ -202,11 +207,47 @@ class MeasuredReebGraph:
     def edge(self, eid: int) -> ReebEdge:
         return self._edge_by_id[eid]
 
+    @cached_property
+    def incidence(self) -> dict[int, tuple[list[ReebEdge], ...]]:
+        """Per vertex id, its (dashed in, dashed out, solid in, solid out)
+        edges in graph order; ``validate`` builds it in its edge pass, so
+        reading it validates a graph not yet validated."""
+        self.validate()
+        return self.incidence
+
+    @cached_property
+    def _edge_position(self) -> dict[int, int]:
+        return {e.id: i for i, e in enumerate(self.edges)}
+
     def edges_at(self, vid: int) -> list[ReebEdge]:
-        return [e for e in self.edges if e.tail == vid or e.head == vid]
+        """Edges meeting the vertex, in graph order."""
+        position = self._edge_position
+        return sorted(chain(*self.incidence[vid]), key=lambda e: position[e.id])
 
     def dashed_edges_at(self, vid: int) -> list[ReebEdge]:
-        return [e for e in self.edges_at(vid) if e.dashed]
+        """Dashed edges meeting the vertex: its in-edges, then its out-edges."""
+        return list(chain(*self.incidence[vid][:2]))
+
+    def components(self, style: str | None = None) -> int:
+        """Connected components of the subgraph that the edges, or one
+        style's edges, span with the vertices they meet."""
+        lists = _STYLE_LISTS[style]
+        index, seen, count = self.incidence, set(), 0
+        for vid in index:
+            if vid in seen:
+                continue
+            seen.add(vid)
+            reached = [vid]
+            for x in reached:
+                for k in lists:
+                    for e in index[x][k]:
+                        w = e.head if e.tail == x else e.tail
+                        if w not in seen:
+                            seen.add(w)
+                            reached.append(w)
+            # a vertex that meets none of the edges is no component
+            count += len(reached) > 1
+        return count
 
     def solid_edges(self) -> list[ReebEdge]:
         return [e for e in self.edges if not e.dashed]
@@ -255,18 +296,13 @@ class MeasuredReebGraph:
             raise InvalidGraph("duplicate edge ids")
         if min(self._edge_by_id) < 1:
             raise InvalidGraph("edge ids must be positive (signed cycle encoding)")
-        fvals = [v.f for v in self.vertices]
-        if not all(map(math.isfinite, fvals)):
+        f_of = {v.id: v.f for v in self.vertices}
+        if not all(map(math.isfinite, f_of.values())):
             raise DataError("vertex field values must be finite")
-        if len(set(fvals)) != len(fvals):
+        if len(set(f_of.values())) != len(f_of):
             raise InvalidGraph("vertex field values must be pairwise distinct")
 
-        f_of = {v.id: v.f for v in self.vertices}
-        # (dashed_in, dashed_out, solid_in, solid_out), dashed edge ids and
-        # neighbours per vertex
-        incidence = {vid: [0, 0, 0, 0] for vid in f_of}
-        dashed_at: dict[int, list[int]] = {vid: [] for vid in f_of}
-        nbrs: dict[int, list[int]] = {vid: [] for vid in f_of}
+        index = {vid: ([], [], [], []) for vid in f_of}
         for e, suspect in zip(self.edges, self.profile_table.screen().tolist()):
             tail, head, p = e.tail, e.head, e.profile
             f_tail, f_head = f_of.get(tail), f_of.get(head)
@@ -281,44 +317,36 @@ class MeasuredReebGraph:
                 p.check()
             if p.f_lo != f_tail or p.f_hi != f_head:
                 raise InvalidGraph(f"edge {e.id} profile range mismatch")
-            incidence[head][0 if dashed else 2] += 1
-            incidence[tail][1 if dashed else 3] += 1
-            if dashed:
-                dashed_at[tail].append(e.id)
-                dashed_at[head].append(e.id)
-            nbrs[tail].append(head)
-            nbrs[head].append(tail)
+            index[head][0 if dashed else 2].append(e)
+            index[tail][1 if dashed else 3].append(e)
+        self.incidence = index
 
         for v in self.vertices:
-            if v.vtype not in VERTEX_TYPES:
+            expected = _INCIDENCE.get((v.vtype, v.orientation))
+            if expected is None and v.vtype not in VERTEX_TYPES:
                 raise InvalidGraph(f"unknown vertex type {v.vtype!r}")
-            if (v.vtype, v.orientation) not in _INCIDENCE:
+            if expected is None:
                 raise InvalidGraph(
                     f"vertex {v.id}: invalid orientation {v.orientation!r} for {v.vtype}"
                 )
-            counts = tuple(incidence[v.id])
-            if counts != _INCIDENCE[(v.vtype, v.orientation)]:
+            dashed_in, dashed_out, solid_in, solid_out = index[v.id]
+            counts = (len(dashed_in), len(dashed_out), len(solid_in), len(solid_out))
+            if counts != expected:
                 raise InvalidGraph(
                     f"vertex {v.id}: incidence {counts} does not "
                     f"match type {v.vtype}/{v.orientation}"
                 )
 
-        for v in self.vertices:
-            if len(dashed_at[v.id]) >= 3:
-                order = self.cyclic_orders.get(v.id)
+        for vid, (dashed_in, dashed_out, _, _) in index.items():
+            if len(dashed_in) + len(dashed_out) >= 3:
+                order = self.cyclic_orders.get(vid)
                 if order is None:
-                    raise InvalidGraph(f"vertex {v.id} needs a cyclic order")
-                if sorted(order) != sorted(dashed_at[v.id]):
-                    raise InvalidGraph(f"vertex {v.id}: cyclic order is not a "
+                    raise InvalidGraph(f"vertex {vid} needs a cyclic order")
+                if sorted(order) != sorted(e.id for e in dashed_in + dashed_out):
+                    raise InvalidGraph(f"vertex {vid}: cyclic order is not a "
                                        "permutation of its dashed edges")
-            elif v.id in self.cyclic_orders:
-                raise InvalidGraph(f"vertex {v.id} must not carry a cyclic order")
+            elif vid in self.cyclic_orders:
+                raise InvalidGraph(f"vertex {vid} must not carry a cyclic order")
 
-        seen, todo = {self.vertices[0].id}, [self.vertices[0].id]
-        while todo:
-            for w in nbrs[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        if len(seen) < len(f_of):
+        if self.components() > 1:
             raise InvalidGraph("graph is disconnected")

@@ -103,6 +103,24 @@ def test_machine_records_the_decoder_version(tmp_path, monkeypatch):
     assert {"nproc", "python", "numpy", "scipy"} <= set(machine)
 
 
+def test_output_records_each_sides_source_size(tmp_path, monkeypatch):
+    # the runs compile the sources, so setup_s and peak_rss_mb follow their size
+    bench_pairs = load_script()
+    argv = _checkouts(tmp_path)
+    modules = {"parent": {"a.py": 3, "big.py": 7, "notes.txt": 50}, "change": {"a.py": 4, "b.py": 4}}
+    for side, files in modules.items():
+        (tmp_path / side / "src" / "reeb_orbit").mkdir(parents=True)
+        for name, n in files.items():
+            (tmp_path / side / "src" / "reeb_orbit" / name).write_text("x = 1\n" * n)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: _result(True))
+    assert bench_pairs.main(argv + ["--pr", "0", "--pairs", "2"]) == 0
+    source = json.loads((tmp_path / "change" / "BENCH_0.json").read_text())["source"]
+    assert source == {
+        "parent": {"lines": 10, "largest": {"name": "big.py", "lines": 7}},
+        "change": {"lines": 8, "largest": {"name": "a.py", "lines": 4}},
+    }
+
+
 def test_summary_holds_each_sides_job_totals(tmp_path, monkeypatch):
     bench_pairs = load_script()
     argv = _checkouts(tmp_path)

@@ -167,6 +167,40 @@ def test_realize_and_compare(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "name, samples",
+    [(name, None) for name in ("fig2", "fig4a", "fig4b", "closed_torus")] + [("fig2", 12), ("fig2", 32)],
+)
+def test_realize_extract_compare_round_trip_at_any_sample_count(capsys, tmp_path, name, samples):
+    # the fixtures hold 16 slabs per edge and the extraction another count;
+    # between samples a realized profile is not linear, so comparing them
+    # through a linear interpolation called these graphs non-isomorphic
+    mesh_path, graph_path = tmp_path / "mesh.json", tmp_path / "back.json"
+    assert run(capsys, "realize", str(DATA / f"{name}.json"), "-o", str(mesh_path))[0] == 0
+    count = [] if samples is None else ["--samples", str(samples)]
+    assert run(capsys, "extract", str(mesh_path), *count, "-o", str(graph_path))[0] == 0
+    code, out, _ = run(capsys, "compare", str(DATA / f"{name}.json"), str(graph_path))
+    assert (code, json.loads(out)["isomorphic"]) == (0, True)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-50, 1e-300])
+def test_compare_decides_a_graph_with_a_tiny_field_range(capsys, tmp_path, scale):
+    # the default tol_f is relative to the field range, with no absolute floor
+    def scaled(shift):
+        def edit(doc):
+            for v in doc["vertices"]:
+                v["f"] = (v["f"] + shift) * scale
+        where = tmp_path / f"shift{shift}"
+        where.mkdir()
+        return str(_edited_copy(where, "fig4a.json", edit))
+
+    path, shifted = scaled(0), scaled(0.001)
+    code, out, _ = run(capsys, "compare", path, path)
+    assert (code, json.loads(out)["isomorphic"]) == (0, True)
+    code, out, _ = run(capsys, "compare", path, shifted)
+    assert (code, json.loads(out)["obstruction"]["kind"]) == (1, "F_VALUES")
+
+
 def _annulus_files(capsys, tmp_path, id_shift=0):
     """Annulus mesh with its vertex ids shifted, its extracted graph, and the
     graph's dashed cycle basis."""

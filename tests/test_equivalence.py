@@ -365,7 +365,7 @@ def reference_match_measured(g1, g2, tol_mass=1e-6):
     edge's style and measure and maps every cyclic order onto a rotation of
     its partner's.  Returns ``(ok, edge_map)``."""
     lo, hi = zip(*(g.f_range() for g in (g1, g2)))
-    tol_f = 1e-9 * max(1.0, max(b - a for a, b in zip(lo, hi)))
+    tol_f = 1e-9 * max(b - a for a, b in zip(lo, hi))
     v1, v2 = (sorted(g.vertices, key=lambda v: v.f) for g in (g1, g2))
     if len(v1) != len(v2) or len(g1.edges) != len(g2.edges):
         return False, {}
@@ -395,7 +395,7 @@ def reference_match_measured(g1, g2, tol_mass=1e-6):
             memo[e1.id, e2.id] = (
                 e1.style == e2.style
                 and abs(e1.mass - e2.mass) <= tol_mass * scale
-                and equivalence._resampled_gap(e1, e2) <= tol_mass * scale
+                and equivalence._bracket_gap(e1, e2) <= tol_mass * scale
             )
         return memo[e1.id, e2.id]
 
@@ -456,3 +456,26 @@ def test_match_measured_agrees_with_brute_force(fig2, fig4a, fig4b, closed_torus
     for (a, b), want in zip(pairs, expected):
         iso = match_measured(a, b)
         assert (iso.ok, iso.edge_map) == want
+
+
+def test_a_profile_of_the_same_mass_and_another_shape_differs_at_any_sample_count(fig2):
+    g = ro.extract_reeb(ro.realize(fig2).surface, samples=64)
+    assert match_measured(fig2, g).ok
+    e = g.edges[0]
+    u = np.linspace(0.0, 1.0, len(e.profile.cumulative))
+    squared = ReebEdge(e.id, e.tail, e.head, e.style, MeasureProfile(e.profile.f_lo, e.profile.f_hi, e.mass * u**2))
+    other = MeasuredReebGraph(list(g.vertices), [squared, *g.edges[1:]], dict(g.cyclic_orders))
+    iso = match_measured(fig2, other)
+    assert iso.obstruction == equivalence.Obstruction("MEASURE", f"edge {e.id} profile differs")
+
+
+def test_bracket_gap_is_the_farthest_sample_outside_its_bracket():
+    def edge(cumulative):
+        return ReebEdge(1, 1, 2, "solid", MeasureProfile(0.0, 1.0, np.array(cumulative)))
+
+    # the samples of [0, 1, 3] at 0, 1/2, 1 bracket those of [0, 2, 2.5, 3]
+    # at 0, 1/3, 2/3, 1: 2 lies in [0, 1] by 1, 2.5 in [1, 3] by 0
+    assert equivalence._bracket_gap(edge([0.0, 1.0, 3.0]), edge([0.0, 2.0, 2.5, 3.0])) == 1.0
+    assert equivalence._bracket_gap(edge([0.0, 1.0, 3.0]), edge([0.0, 0.5, 2.0, 3.0])) == 0.0
+    # equal counts: the pointwise gap
+    assert equivalence._bracket_gap(edge([0.0, 1.0, 3.0]), edge([0.0, 1.5, 3.0])) == 0.5

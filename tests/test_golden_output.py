@@ -37,7 +37,10 @@ GOLDEN = {
     "check fuzz 40010 mesh": (0, "d1cdf77176a3771b643de7e89b5ebb2f3d84f9a814747152c67390146c20c768"),
     "check fuzz 40093 mesh": (0, "cc10761eee00752ddb219506c9c1d3e841f10504c9de8cb1c35baac04ce69181"),
     "check fuzz 40097 mesh": (0, "2a07a1d5727c782c4ebca24d0dd7077f358c4bb7e43e1286d0c56a2d94eda8c5"),
-    "compare fig2 mesh": (1, "6991d201fb93047621f88d98f4794f35df5dfebf74a46e889c4567ee2a774347"),
+    # fig2 (16 slabs per edge) against its realization extracted at K = 12:
+    # isomorphic since profiles of unequal sample counts are compared by
+    # bracketing, not through a linear interpolation (which exited 1 here)
+    "compare fig2 mesh": (0, "f393c68ba82b3288e885feab73fef9103fd7a6a034e5ee68db01d511fd27f03b"),
     "compare fig4a fig4b": (1, "a984b27e2312eba077cb23e238976d2e214b026364fb36590eb23db1926bb676"),
     "error": (2, "45f7ec8c8fc73e0a36851931b2da21c2a97e771343719f8302a670a1470a0dd1"),
     "extract disk": (0, "39954016f454729f5ac040ebbf1d010766a689cb774b7dd7268ab67e8383020a"),
