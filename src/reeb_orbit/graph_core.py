@@ -167,7 +167,7 @@ def homology_dims(g: MeasuredReebGraph) -> HomologyDims:
     h1_rel = h1_gamma - h1_dashed + h0_dashed - 1.
     """
     stars = g.incidence.values()
-    n_dashed = sum(len(dashed_in) for dashed_in, _, _, _ in stars)
+    n_dashed = sum(len(din) for din, _, _, _ in stars)
     dashed_vs = sum(1 for din, dout, _, _ in stars if din or dout)
     h0_inter = sum(1 for din, dout, sin, sout in stars if (din or dout) and (sin or sout))
     h0_dashed, h0_solid = g.components("dashed"), g.components("solid")
